@@ -293,12 +293,15 @@ bool run_solver_bench(const std::string& out_dir, int steps) {
 }
 
 bool run_kernel_bench(const std::string& out_dir) {
-  // All three backends, same step: the SIMD lane sweep is the recorded
-  // fast path; the fused scalar sweep and the reference chain are kept
-  // alongside so both speedups are themselves gated metrics.
+  // Three legs, same step: the SIMD lane sweep at the native width is
+  // the recorded fast path; its width-1 leg (the fused scalar sweep)
+  // and the reference chain are kept alongside so both speedups are
+  // themselves gated metrics.
   const perf::KernelProfile ref = perf::KernelProfile::measure();
+  simd::force_active_width(1);
   const perf::KernelProfile fused =
-      perf::KernelProfile::measure(17, 13, 37, /*fused_rhs=*/true);
+      perf::KernelProfile::measure(17, 13, 37, mhd::RhsBackend::simd);
+  simd::force_active_width(0);
   const perf::KernelProfile simd =
       perf::KernelProfile::measure(17, 13, 37, mhd::RhsBackend::simd);
   obs::RunManifest man = manifest_for("kernels", 1, bench_config());

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "baseline/latlon_solver.hpp"
+#include "common/simd.hpp"
 #include "core/serial_solver.hpp"
 #include "grid/fd_ops.hpp"
 #include "mhd/rhs.hpp"
@@ -131,11 +132,13 @@ void BM_YinYangStepFused(benchmark::State& state) {
   cfg.np_core = 3 * static_cast<int>(state.range(0)) - 2;
   cfg.eq.g0 = 2.0;
   cfg.eq.omega = {0, 0, 8.0};
-  cfg.fused_rhs = true;
+  cfg.simd_rhs = true;
+  simd::force_active_width(1);  // width 1 is the fused scalar sweep
   core::SerialYinYangSolver solver(cfg);
   solver.initialize();
   const double dt = solver.stable_dt();
   for (auto _ : state) solver.step(dt);
+  simd::force_active_width(0);
   state.SetItemsProcessed(state.iterations() * 2 *
                           solver.grid().interior().volume());
 }

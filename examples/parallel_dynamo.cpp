@@ -10,7 +10,7 @@
 /// Simulator performance model's predicted phase split.
 ///
 /// Usage: parallel_dynamo [pt pp steps [mode]] [--heartbeat N] [--overlap]
-///                        [--fused-rhs] [--simd-rhs] [--counters]
+///                        [--simd-rhs] [--counters]
 ///                        [--chaos rank-death:<step>|bitflip:<step>[:<cadence>]]
 ///        (default 2 x 2, 10 steps)
 ///
@@ -35,19 +35,14 @@
 /// cross-check below still matches exactly.  Set YY_THREADS to also
 /// thread the interior sweep and stage updates.
 ///
-/// --fused-rhs evaluates each stage's RHS with the fused cache-blocked
-/// pencil sweep (DESIGN.md §11) instead of the operator-at-a-time
-/// reference chain.  Bitwise-identical trajectories
-/// (tests/mhd/test_rhs_fused.cpp), so the serial cross-check still
-/// matches exactly; composes with --overlap.
-///
-/// --simd-rhs evaluates the RHS with the lane-widened fused sweep
-/// (DESIGN.md §14): the same pencil sweep with its radial inner loops
-/// running in SIMD packs at the build's native width (override with
-/// YY_SIMD=scalar|1|2|4|8; the manifest records width and ISA).
-/// Bitwise-identical trajectories (tests/mhd/test_rhs_simd.cpp), so
-/// the serial cross-check still matches exactly; composes with
-/// --overlap and takes precedence over --fused-rhs.
+/// --simd-rhs evaluates each stage's RHS with the cache-blocked pencil
+/// sweep (DESIGN.md §11, §14) instead of the operator-at-a-time
+/// reference chain, its radial inner loops running in SIMD packs at
+/// the build's native width (override with YY_SIMD=scalar|1|2|4|8;
+/// width 1 is the scalar fused sweep; the manifest records width and
+/// ISA).  Bitwise-identical trajectories (tests/mhd/test_rhs_simd.cpp),
+/// so the serial cross-check still matches exactly; composes with
+/// --overlap.
 ///
 /// --counters samples per-phase performance counters on every rank
 /// (obs/hwcounters.hpp): each rank thread opens its own CounterGroup —
@@ -111,7 +106,6 @@ using yinyang::Panel;
 int main(int argc, char** argv) {
   int heartbeat = 0;
   bool overlap = false;
-  bool fused_rhs = false;
   bool simd_rhs = false;
   bool counters = false;
   long long chaos_death_step = -1;
@@ -123,8 +117,6 @@ int main(int argc, char** argv) {
       heartbeat = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--overlap") == 0) {
       overlap = true;
-    } else if (std::strcmp(argv[i], "--fused-rhs") == 0) {
-      fused_rhs = true;
     } else if (std::strcmp(argv[i], "--simd-rhs") == 0) {
       simd_rhs = true;
     } else if (std::strcmp(argv[i], "--counters") == 0) {
@@ -154,6 +146,13 @@ int main(int argc, char** argv) {
                      spec, chaos_flip_cadence);
         return 1;
       }
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr,
+                   "unknown option '%s'\nusage: parallel_dynamo [pt pp steps "
+                   "[mode]] [--heartbeat N] [--overlap] [--simd-rhs] "
+                   "[--counters] [--chaos SPEC]\n",
+                   argv[i]);
+      return 1;
     } else {
       pos.push_back(argv[i]);
     }
@@ -187,13 +186,12 @@ int main(int argc, char** argv) {
   cfg.ic.perturb_amp = 1e-2;
   cfg.ic.seed_b_amp = 1e-4;
   cfg.overlap = overlap;
-  cfg.fused_rhs = fused_rhs;
   cfg.simd_rhs = simd_rhs;
 
   const int world = 2 * pt * pp;
   std::printf("== Distributed yycore: %d ranks = 2 panels x (%d x %d)%s%s ====\n\n",
               world, pt, pp, overlap ? "  [overlapped]" : "",
-              simd_rhs ? "  [simd rhs]" : (fused_rhs ? "  [fused rhs]" : ""));
+              simd_rhs ? "  [simd rhs]" : "");
 
   mhd::EnergyBudget dist_energy;
   double dist_dt = 0.0;

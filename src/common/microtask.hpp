@@ -4,14 +4,9 @@
 /// The paper's hybrid style microtasks one MPI process over the 8 APs
 /// of an Earth Simulator node (§IV); this header is the workstation
 /// stand-in: `parallel_regions(n, f)` runs f(0..n-1) concurrently and
-/// joins.  Two backends share that contract:
-///  * default — plain std::thread fork-join.  ThreadSanitizer
-///    understands the std::thread handshake natively, so the sanitize
-///    trees exercise the threaded sweep with no false positives (TSan
-///    cannot see libgomp's internal barriers and reports phantom races
-///    there — measured, not speculation).
-///  * -DYY_OPENMP=ON — an OpenMP `parallel for` team, for builds that
-///    want the pooled runtime instead of per-sweep thread spawns.
+/// joins, on plain std::thread fork-join.  ThreadSanitizer understands
+/// the std::thread handshake natively, so the sanitize trees exercise
+/// the threaded sweep with no false positives.
 ///
 /// Thread count policy lives in env_threads(): the YY_THREADS
 /// environment variable, read once, clamped to [1, hardware].  With
@@ -23,13 +18,11 @@
 /// Workspace per thread (mhd::compute_rhs_parallel), but each pool
 /// entry is sized to its φ-slab, not the full patch, so total scratch
 /// stays within ~2× one patch-sized Workspace regardless of thread
-/// count (tests/mhd/test_workspace_footprint.cpp pins this; the fused
+/// count (tests/mhd/test_workspace_footprint.cpp pins this; the simd
 /// backend's per-thread pencil rings are smaller still).  The remaining
-/// cost is thread churn: the default backend spawns/joins fresh
-/// std::threads per sweep (several per RK4 step), which can eat the
-/// overlap gain on small patches.  Prefer modest thread counts sized to
-/// the patch, or the -DYY_OPENMP=ON pooled runtime for production-sized
-/// runs.
+/// cost is thread churn: every sweep spawns/joins fresh std::threads
+/// (several per RK4 step), which can eat the overlap gain on small
+/// patches.  Prefer modest thread counts sized to the patch.
 ///
 /// Determinism contract: callers must give each region index a disjoint
 /// write set (e.g. one φ-slab of the RHS sweep per region).  Work
@@ -68,16 +61,11 @@ void parallel_regions(int n, F&& f) {
     if (n == 1) f(0);
     return;
   }
-#if defined(YY_OPENMP)
-#pragma omp parallel for num_threads(n) schedule(static, 1)
-  for (int k = 0; k < n; ++k) f(k);
-#else
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(n) - 1);
   for (int k = 1; k < n; ++k) workers.emplace_back([&f, k] { f(k); });
   f(0);
   for (std::thread& w : workers) w.join();
-#endif
 }
 
 }  // namespace yy::common

@@ -30,26 +30,20 @@ struct SimulationConfig {
   mhd::TimeScheme scheme = mhd::TimeScheme::rk4;
 
   /// Overlapped stepping: the distributed solver hides halo/overset
-  /// exchange latency behind the interior RHS sweep of each RK4 stage
-  /// (bitwise-identical trajectories; see DESIGN.md §10).  Honoured by
-  /// the rk4 scheme; euler/rk2 fall back to synchronous fills.
+  /// exchange latency behind the interior RHS sweep of every stage fill
+  /// (bitwise-identical trajectories, every scheme; see DESIGN.md §10).
   bool overlap = false;
 
-  /// RHS backend: false = reference operator-at-a-time chain, true =
-  /// fused cache-blocked pencil sweep (bitwise-identical trajectories;
-  /// see DESIGN.md §11).  Composes with `overlap`.
-  bool fused_rhs = false;
-
-  /// SIMD RHS backend: the fused sweep with radial lane packs
-  /// (bitwise-identical trajectories; see DESIGN.md §14).  Takes
-  /// precedence over `fused_rhs`; composes with `overlap`.  Lane width
-  /// comes from the build's ISA, overridable with YY_SIMD=scalar|1|2|4|8.
+  /// RHS backend: false = the reference operator-at-a-time chain (the
+  /// equivalence oracle), true = the SIMD pencil sweep (bitwise-
+  /// identical trajectories; see DESIGN.md §11, §14).  Composes with
+  /// `overlap`.  Lane width comes from the build's ISA, overridable
+  /// with YY_SIMD=scalar|1|2|4|8; width 1 is the scalar fused sweep.
   bool simd_rhs = false;
 
-  /// The backend the two flags above select (simd > fused > reference).
+  /// The backend `simd_rhs` selects.
   mhd::RhsBackend rhs_backend() const {
-    if (simd_rhs) return mhd::RhsBackend::simd;
-    return fused_rhs ? mhd::RhsBackend::fused : mhd::RhsBackend::reference;
+    return simd_rhs ? mhd::RhsBackend::simd : mhd::RhsBackend::reference;
   }
 };
 

@@ -141,6 +141,12 @@ class DistributedSolver {
 
  private:
   void cancel_exchanges() noexcept;
+  /// (Re)builds everything sized by the local patch — grid, exchangers,
+  /// panel equations, state, workspaces, integrator, weights — from
+  /// the current runner_/decomp_/extent_.  The one construction path
+  /// of the constructor and rebuild(), so a shrunk solver is built
+  /// exactly like a direct one (the shrink-to-survive bitwise contract).
+  void build_patch();
 
   /// Decomposition of either panel (mine or the partner's).
   const PanelDecomposition& decomp_of(yinyang::Panel p) const {

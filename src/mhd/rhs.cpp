@@ -218,23 +218,4 @@ void compute_rhs_parallel(const SphericalGrid& g, const EquationParams& eq,
   });
 }
 
-void compute_rhs_parallel_fused(const SphericalGrid& g,
-                                const EquationParams& eq, const Fields& state,
-                                Fields& rhs,
-                                std::vector<PencilWorkspace>& pw_pool,
-                                const IndexBox& box, int nthreads) {
-  if (box.volume() == 0) return;
-  const int np = box.p1 - box.p0;
-  const int n = std::clamp(nthreads, 1, np);
-  while (pw_pool.size() < static_cast<std::size_t>(n)) pw_pool.emplace_back();
-  if (n == 1) {
-    compute_rhs_fused(g, eq, state, rhs, pw_pool[0], box);
-    return;
-  }
-  common::parallel_regions(n, [&](int k) {
-    compute_rhs_fused(g, eq, state, rhs, pw_pool[static_cast<std::size_t>(k)],
-                      phi_slab(box, n, k));
-  });
-}
-
 }  // namespace yy::mhd

@@ -12,15 +12,16 @@
 /// µ(4/3 ∇(∇·v) − ∇×(∇×v)) — every differential operator is then one
 /// of the scalar/vector primitives in grid/fd_ops.hpp.
 ///
-/// Two backends evaluate the same arithmetic (DESIGN.md §11):
+/// Two backends evaluate the same arithmetic (DESIGN.md §11, §14):
 ///  * compute_rhs — the reference operator-at-a-time chain: one fd::*
 ///    pass per operator with box-sized scratch.  Simple, auditable, the
 ///    oracle the equivalence tests compare against.
-///  * compute_rhs_fused — one cache-blocked sweep over φ with rolling
-///    pencil rings of derived-field planes and radial-innermost loops;
-///    same per-point expression trees (grid/fd_stencils.hpp), so the
-///    result is bitwise identical on this build (no FMA contraction),
-///    while the working set shrinks to O(depth·Nr·Nt).
+///  * compute_rhs_simd — one cache-blocked sweep over φ with rolling
+///    pencil rings of derived-field planes and radial lane packs; same
+///    per-point expression trees (grid/fd_stencils.hpp), so the result
+///    is bitwise identical on this build (no FMA contraction), while
+///    the working set shrinks to O(depth·Nr·Nt).  Its width-1 path is
+///    compute_rhs_fused, the plain scalar sweep.
 ///
 /// The RHS is valid on any IndexBox whose grown(2) data is filled
 /// (2 ghost layers: one consumed by the derived fields B and ∇·v, one
@@ -39,17 +40,14 @@
 namespace yy::mhd {
 
 /// RHS evaluation strategy (see file comment); plumbed from
-/// core::SimulationConfig::fused_rhs through the integrators.
+/// core::SimulationConfig::simd_rhs through the Integrator.
 enum class RhsBackend {
   reference,  ///< operator-at-a-time fd::* chain (the oracle)
-  fused,      ///< cache-blocked pencil sweep (bitwise-equal, faster)
-  simd,       ///< fused sweep with radial lane packs (bitwise-equal, fastest)
+  simd,       ///< pencil sweep at simd::active_width() (bitwise-equal)
 };
 
 constexpr const char* backend_name(RhsBackend b) {
-  return b == RhsBackend::simd
-             ? "simd"
-             : (b == RhsBackend::fused ? "fused" : "reference");
+  return b == RhsBackend::simd ? "simd" : "reference";
 }
 
 /// Preallocated temporaries for one reference-path RHS evaluation
@@ -95,7 +93,7 @@ void compute_rhs(const SphericalGrid& g, const EquationParams& eq,
                  const Fields& state, Fields& rhs, Workspace& ws,
                  const IndexBox& box);
 
-/// Pencil scratch of the fused backend: rolling φ-plane rings sized by
+/// Pencil scratch of the pencil sweep: rolling φ-plane rings sized by
 /// the stencil footprint — v and T planes are consumed by second-order
 /// composites two φ layers away (depth 5, (r,θ) extent box.grown(2)),
 /// the differentiated derived fields one layer (depth 3, box.grown(1)).
@@ -117,10 +115,12 @@ struct PencilWorkspace {
 /// 7 of depth 3); the footprint test's accounting constant.
 inline constexpr int kPencilPlanes = 4 * 5 + 7 * 3;
 
-/// The fused backend: same contract and bitwise-identical result as
-/// compute_rhs (see file comment), evaluated in one rolling-pencil
-/// sweep over φ with radial-innermost loops; charges exactly the same
-/// flop count.
+/// The scalar pencil sweep — compute_rhs_simd_width at width 1: same
+/// contract and bitwise-identical result as compute_rhs (see file
+/// comment), evaluated in one rolling-pencil sweep over φ with
+/// radial-innermost loops; charges exactly the same flop count.  Kept
+/// as a plain-double loop in a portable TU because it runs 1.6–1.8×
+/// faster than the Pack<1> instantiation of the lane sweep.
 void compute_rhs_fused(const SphericalGrid& g, const EquationParams& eq,
                        const Fields& state, Fields& rhs, PencilWorkspace& pw,
                        const IndexBox& box);
@@ -163,42 +163,33 @@ void compute_rhs_parallel(const SphericalGrid& g, const EquationParams& eq,
                           std::vector<Workspace>& ws_pool, const IndexBox& box,
                           int nthreads);
 
-/// The fused analogue of compute_rhs_parallel: identical φ-slab
-/// partition (phi_slab), one PencilWorkspace per slab, bitwise
-/// identical to compute_rhs_fused — and therefore to compute_rhs — for
-/// any thread count.
-void compute_rhs_parallel_fused(const SphericalGrid& g,
-                                const EquationParams& eq, const Fields& state,
-                                Fields& rhs,
-                                std::vector<PencilWorkspace>& pw_pool,
-                                const IndexBox& box, int nthreads);
-
-/// The SIMD backend: the fused pencil sweep with its radial inner loops
-/// widened to `width`-lane packs (common/simd.hpp).  A line of L points
-/// runs as ⌈L/W⌉ full packs, the last one shifted back to end at the
-/// line's end (a line shorter than W runs at W/2, recursively), so no
-/// point falls off the vector path unless its line has one point.
+/// The SIMD backend: the pencil sweep with its radial inner loops
+/// widened to `width`-lane packs (common/simd.hpp); width 1 runs
+/// compute_rhs_fused.  A line of L points runs as ⌈L/W⌉ full packs,
+/// the last one shifted back to end at the line's end (a line shorter
+/// than W runs at W/2, recursively), so no point falls off the vector
+/// path unless its line has one point.
 /// Per-point expression trees are the shared grid/fd_stencils.hpp
 /// templates instantiated over lane packs, whose arithmetic is strictly
 /// elementwise with FMA contraction pinned off — so the result is
 /// bitwise identical to compute_rhs_fused (and the reference chain) for
 /// every width, and a point that two overlapping packs compute is
-/// stored with the same bytes both times.  Charges the same flop count and
-/// additionally records lane statistics (simd::lane_stats_add), the
-/// measured counterpart of the ES model's vector columns.
+/// stored with the same bytes both times.  Charges the same flop count
+/// and additionally records lane statistics (simd::lane_stats_add,
+/// width 1 included), the measured counterpart of the ES model's vector
+/// columns.
 /// `width` must be 1, 2, 4, or 8.
 void compute_rhs_simd_width(int width, const SphericalGrid& g,
                             const EquationParams& eq, const Fields& state,
                             Fields& rhs, PencilWorkspace& pw,
                             const IndexBox& box);
 
-/// compute_rhs_simd_width at simd::active_width() — what the
-/// integrators call when RhsBackend::simd is selected.
+/// compute_rhs_simd_width at simd::active_width().
 void compute_rhs_simd(const SphericalGrid& g, const EquationParams& eq,
                       const Fields& state, Fields& rhs, PencilWorkspace& pw,
                       const IndexBox& box);
 
-/// The SIMD analogue of compute_rhs_parallel_fused: identical φ-slab
+/// The SIMD analogue of compute_rhs_parallel: identical φ-slab
 /// partition (phi_slab), one PencilWorkspace per slab, bitwise
 /// identical to the monolithic sweep for any thread count and width.
 void compute_rhs_parallel_simd_width(int width, const SphericalGrid& g,
@@ -207,7 +198,8 @@ void compute_rhs_parallel_simd_width(int width, const SphericalGrid& g,
                                      std::vector<PencilWorkspace>& pw_pool,
                                      const IndexBox& box, int nthreads);
 
-/// compute_rhs_parallel_simd_width at simd::active_width().
+/// compute_rhs_parallel_simd_width at simd::active_width() — what the
+/// Integrator calls when RhsBackend::simd is selected.
 void compute_rhs_parallel_simd(const SphericalGrid& g,
                                const EquationParams& eq, const Fields& state,
                                Fields& rhs,

@@ -1,9 +1,10 @@
 /// \file rhs_simd.cpp
 /// The SIMD RHS backend: the fused rolling-pencil sweep of
 /// rhs_fused.cpp with its radial inner loops widened to W-lane packs
-/// (common/simd.hpp).  Every radial line runs in full-width packs: when
-/// W does not divide the line, the last pack is shifted back to end at
-/// the line's end and recomputes a few points the previous pack wrote.
+/// (common/simd.hpp); width 1 runs that scalar sweep itself.  Every
+/// radial line runs in full-width packs: when W does not divide the
+/// line, the last pack is shifted back to end at the line's end and
+/// recomputes a few points the previous pack wrote.
 ///
 /// Bitwise contract (DESIGN.md §14): every per-point body below is the
 /// same grid/fd_stencils.hpp template the scalar fused sweep
@@ -161,10 +162,10 @@ inline void combine_point(const SweepCtx& c, int ir, int it, int ip,
 /// Walks the radial line [r0, r1) in W-lane packs: ⌊L/W⌋ packs from
 /// r0, then — when W does not divide L — one more full pack at r1 − W,
 /// overlapping the previous one.  A line shorter than W is walked at
-/// W/2, recursively, so the W=1 body runs only on a 1-point line (or at
-/// width 1).  Every pack lies inside [r0, r1), so its loads stay inside
-/// the extents the scalar line reads and its stores land on points of
-/// this line only.  `point` is called as point(integral_constant<W>, ir).
+/// W/2, recursively, so the W=1 body runs only on a 1-point line.
+/// Every pack lies inside [r0, r1), so its loads stay inside the
+/// extents the scalar line reads and its stores land on points of this
+/// line only.  `point` is called as point(integral_constant<W>, ir).
 template <int W, class Point>
 inline void walk_line(int r0, int r1, const Point& point) {
   if constexpr (W > 1) {
@@ -218,6 +219,32 @@ void sweep(const SweepCtx& c) {
   }
 }
 
+/// Analytic lane accounting of one sweep over `box` at `width`,
+/// mirroring walk_line: `iterations` counts the pack trips walked
+/// (overlapped last packs and narrower packs on short lines included),
+/// `vector_points` the distinct points written by a pack wider than one
+/// lane — every point of a line of two or more.  The measured
+/// counterpart of the ES model's vector columns (perf/proginf).
+void record_lane_stats(int width, const IndexBox& box) {
+  const IndexBox e2 = box.grown(2);
+  const IndexBox e1 = box.grown(1);
+  const std::uint64_t np = static_cast<std::uint64_t>(box.p1 - box.p0);
+  simd::LaneStats stats;
+  const auto add_lines = [&](std::uint64_t lines, std::uint64_t len) {
+    stats.iterations +=
+        lines * line_trips(len, static_cast<std::uint64_t>(width));
+    if (width > 1 && len > 1) stats.vector_points += lines * len;
+    stats.points += lines * len;
+  };
+  add_lines(static_cast<std::uint64_t>(e2.t1 - e2.t0) * (np + 4),
+            static_cast<std::uint64_t>(e2.r1 - e2.r0));
+  add_lines(static_cast<std::uint64_t>(e1.t1 - e1.t0) * (np + 2),
+            static_cast<std::uint64_t>(e1.r1 - e1.r0));
+  add_lines(static_cast<std::uint64_t>(box.t1 - box.t0) * np,
+            static_cast<std::uint64_t>(box.r1 - box.r0));
+  simd::lane_stats_add(stats);
+}
+
 }  // namespace
 
 void compute_rhs_simd_width(int width, const SphericalGrid& g,
@@ -226,6 +253,14 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
                             const IndexBox& box) {
   YY_REQUIRE(width == 1 || width == 2 || width == 4 || width == 8);
   if (box.volume() == 0) return;
+  if (width == 1) {
+    // The scalar kernel is the plain-double fused sweep in its portable
+    // TU, not sweep<1>: the Pack<1> instantiation is bitwise equal but
+    // measured 1.6–1.8× slower.  It checks reach and charges flops.
+    compute_rhs_fused(g, eq, state, rhs, pw, box);
+    record_lane_stats(1, box);
+    return;
+  }
   const IndexBox e2 = box.grown(2);
   const IndexBox e1 = box.grown(1);
   // Same reach as the fused sweep; the pack loads of a radial line stay
@@ -261,41 +296,17 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
     case 4:
       sweep<4>(c);
       break;
-    case 2:
+    default:
       sweep<2>(c);
       break;
-    default:
-      sweep<1>(c);
-      break;
   }
-
-  // Analytic lane accounting, mirroring walk_line: `iterations` counts
-  // the trips issued (overlapped last packs and narrower packs on short
-  // lines included), `vector_points` the distinct points written by a
-  // pack wider than one lane — every point of a line of two or more.
-  // The measured counterpart of the ES model's vector columns
-  // (perf/proginf).
-  const auto vol = [](const IndexBox& b) {
-    return static_cast<std::uint64_t>(b.volume());
-  };
-  const std::uint64_t np = static_cast<std::uint64_t>(box.p1 - box.p0);
-  simd::LaneStats stats;
-  const auto add_lines = [&](std::uint64_t lines, std::uint64_t len) {
-    stats.iterations +=
-        lines * line_trips(len, static_cast<std::uint64_t>(width));
-    if (width > 1 && len > 1) stats.vector_points += lines * len;
-    stats.points += lines * len;
-  };
-  add_lines(static_cast<std::uint64_t>(e2.t1 - e2.t0) * (np + 4),
-            static_cast<std::uint64_t>(e2.r1 - e2.r0));
-  add_lines(static_cast<std::uint64_t>(e1.t1 - e1.t0) * (np + 2),
-            static_cast<std::uint64_t>(e1.r1 - e1.r0));
-  add_lines(static_cast<std::uint64_t>(box.t1 - box.t0) * np,
-            static_cast<std::uint64_t>(box.r1 - box.r0));
-  simd::lane_stats_add(stats);
+  record_lane_stats(width, box);
 
   // Identical flop charge to the fused and reference paths: the lanes
   // change how the points are traversed, not how many ops each costs.
+  const auto vol = [](const IndexBox& b) {
+    return static_cast<std::uint64_t>(b.volume());
+  };
   flops::add(vol(e2) * kFlopsVelTemp +
              vol(e1) * (2 * fd::kFlopsCurl + fd::kFlopsDiv) +
              vol(box) *

@@ -14,7 +14,6 @@ KernelProfile KernelProfile::measure(int nr, int nt_core, int np_core,
   cfg.nt_core = nt_core;
   cfg.np_core = np_core;
   cfg.eq.omega = {0.0, 0.0, 5.0};
-  cfg.fused_rhs = backend == mhd::RhsBackend::fused;
   cfg.simd_rhs = backend == mhd::RhsBackend::simd;
   core::SerialYinYangSolver solver(cfg);
   solver.initialize();

@@ -3,9 +3,8 @@
 ///
 /// The paper's production run wrote 3-D state 127 times over a 6-hour
 /// 4096-process job (§V, ~500 GB); at that scale a run *is* its
-/// checkpoint/restart discipline.  The seed format (io/checkpoint.hpp)
-/// fwrite's a raw struct with no validation; this one is built to fail
-/// loudly instead of restarting wrong:
+/// checkpoint/restart discipline.  The format is built to fail loudly
+/// instead of restarting wrong:
 ///
 ///   offset  size  content
 ///   0       8     magic "YYCORE02"

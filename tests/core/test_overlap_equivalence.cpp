@@ -44,17 +44,29 @@ INSTANTIATE_TEST_SUITE_P(RankLayouts, OverlapEquivalence,
                          ::testing::Values(std::pair{1, 1}, std::pair{1, 2},
                                            std::pair{2, 2}));
 
-TEST(OverlapEquivalence, EulerAndRk2FallBackToSynchronousFill) {
-  // Non-RK4 schemes ignore the hooks: the overlap flag must be a no-op
-  // (bitwise) there too, not an error.
+// Euler and RK2 step through the same integrator path as RK4: rk2's
+// midpoint fill runs overlapped (post → interior → finish → rim), and
+// both schemes thread their RHS sweeps under the hooks.  The overlap
+// flag must be bitwise invisible there too.
+class OverlapSchemes : public ::testing::TestWithParam<mhd::TimeScheme> {};
+
+TEST_P(OverlapSchemes, BitwiseEqualToSynchronous) {
   SimulationConfig cfg = overlap_config();
-  cfg.scheme = mhd::TimeScheme::rk2;
+  cfg.scheme = GetParam();
   cfg.overlap = false;
   const RunResult sync = run_case(cfg, 1, 2, 4);
   cfg.overlap = true;
   const RunResult over = run_case(cfg, 1, 2, 4);
+  ASSERT_GT(sync.dt, 0.0);
   expect_bitwise_equal(sync, over);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    EulerAndRk2, OverlapSchemes,
+    ::testing::Values(mhd::TimeScheme::euler, mhd::TimeScheme::rk2),
+    [](const ::testing::TestParamInfo<mhd::TimeScheme>& info) {
+      return mhd::scheme_name(info.param);
+    });
 
 }  // namespace
 }  // namespace yy::core

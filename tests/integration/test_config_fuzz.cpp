@@ -1,8 +1,9 @@
 /// Seeded randomized differential fuzzing of the solver stack: ~20
 /// random small configurations sweeping grid sizes, RHS backends
-/// (reference / fused / simd, with random forced lane widths), the
-/// overlapped stepping mode (which with the registered YY_THREADS=2
-/// also toggles the threaded sweeps) and rank layouts — each asserting
+/// (reference / simd at a random forced lane width, width 1 being the
+/// scalar fused sweep), the overlapped stepping mode (which with the
+/// registered YY_THREADS=2 also toggles the threaded sweeps) and rank
+/// layouts — each asserting
 /// that the serial whole-sphere solver and the distributed solver land
 /// on *bitwise* identical trajectories.  The generator is a fixed
 /// master seed expanded per case, so every run covers the same corpus;
@@ -82,15 +83,12 @@ CaseSpec random_case(std::uint64_t seed) {
   c.cfg.ic.seed_b_amp = rng.uniform(5e-5, 5e-4);
   c.cfg.ic.seed = rng.next_u64();
 
-  // Execution shape: backend × overlap × rank layout.
-  static constexpr int kBackend[] = {0, 1, 2};
-  const int backend = pick(rng, kBackend);
-  c.cfg.fused_rhs = backend == 1;
-  c.cfg.simd_rhs = backend == 2;
-  if (c.cfg.simd_rhs) {
-    static constexpr int kWidths[] = {1, 2, 4, 8};
-    c.simd_width = pick(rng, kWidths);
-  }
+  // Execution shape: backend × overlap × rank layout.  The backend is
+  // drawn from {reference, simd × width 1/2/4/8}; simd width 1 is the
+  // scalar fused sweep.
+  static constexpr int kSimdWidth[] = {0, 1, 2, 4, 8};  // 0 = reference
+  c.simd_width = pick(rng, kSimdWidth);
+  c.cfg.simd_rhs = c.simd_width > 0;
   c.cfg.overlap = rng.next_u64() % 2 == 1;
   static constexpr std::pair<int, int> kLayouts[] = {
       {1, 1}, {1, 2}, {2, 1}, {2, 2}};
@@ -159,18 +157,21 @@ TEST(ConfigFuzz, SerialAndDistributedTrajectoriesAgreeBitwise) {
 /// The corpus must actually sweep the execution-shape axes, or a
 /// generator regression could silently fuzz one backend forever.
 TEST(ConfigFuzz, CorpusCoversBackendsModesAndLayouts) {
-  bool backend_seen[3] = {false, false, false};
+  bool width_seen[9] = {};  // 0 = reference, else the forced simd width
   bool overlap_seen[2] = {false, false};
   bool multirank = false;
   for (int i = 0; i < kCases; ++i) {
     const std::uint64_t seed =
         kMasterSeed + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
     const CaseSpec c = random_case(seed);
-    backend_seen[static_cast<int>(c.cfg.rhs_backend())] = true;
+    width_seen[c.simd_width] = true;
     overlap_seen[c.cfg.overlap ? 1 : 0] = true;
     if (c.pt * c.pp > 1) multirank = true;
   }
-  EXPECT_TRUE(backend_seen[0] && backend_seen[1] && backend_seen[2]);
+  // The reference chain, the scalar fused sweep (width 1), and at
+  // least one genuine lane width.
+  EXPECT_TRUE(width_seen[0] && width_seen[1]);
+  EXPECT_TRUE(width_seen[2] || width_seen[4] || width_seen[8]);
   EXPECT_TRUE(overlap_seen[0] && overlap_seen[1]);
   EXPECT_TRUE(multirank);
 }

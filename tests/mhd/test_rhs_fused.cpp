@@ -1,13 +1,12 @@
-/// The fused-backend equivalence harness (DESIGN.md §11): the fused
-/// cache-blocked pencil sweep must reproduce the reference
-/// operator-at-a-time chain *bitwise* — same per-point expression trees
-/// instantiated twice, no FMA contraction — on full interiors, on the
-/// interior/rim split (including the all-rim minimum patch), under the
-/// threaded φ-slab sweep, and over full 10-step RK4 trajectories at
-/// 1, 2 and 4 ranks per panel in both the synchronous and overlapped
-/// stepping modes.  Manufactured solutions additionally pin the fused
-/// path's second-order convergence, and the software flop counter must
-/// charge identically for both backends.
+/// The fused-sweep equivalence harness (DESIGN.md §11): the scalar
+/// cache-blocked pencil sweep — the SIMD backend's width-1 path — must
+/// reproduce the reference operator-at-a-time chain *bitwise* — same
+/// per-point expression trees instantiated twice, no FMA contraction —
+/// on full interiors and on the interior/rim split (including the
+/// all-rim minimum patch).  Manufactured solutions additionally pin the
+/// fused path's second-order convergence, and the software flop counter
+/// must charge identically for both.  The threaded φ-slab sweeps and
+/// the 10-step trajectories run at width 1 in test_rhs_simd.cpp.
 #include "mhd/rhs.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 
 #include "common/flops.hpp"
 #include "grid/analytic_fields.hpp"
-#include "support/equivalence.hpp"
 
 namespace yy::mhd {
 namespace {
@@ -94,25 +92,6 @@ TEST_P(FusedSweep, SplitInteriorPlusRimMatchesReferenceBitwise) {
   for (const IndexBox& b : sp.rim) compute_rhs_fused(g, eq, s, fused, pw, b);
 
   expect_fields_bitwise(ref, fused, g.interior());
-}
-
-TEST_P(FusedSweep, ThreadedSlabsMatchReferenceBitwise) {
-  const SphericalGrid g = test_grid(GetParam());
-  const EquationParams eq = test_eq();
-  Fields s(g);
-  fill_smooth(g, s);
-
-  Fields ref(g);
-  Workspace ws(g);
-  compute_rhs(g, eq, s, ref, ws, g.interior());
-
-  for (int nthreads : {1, 2, 3, 7}) {
-    SCOPED_TRACE(nthreads);
-    Fields par(g);
-    std::vector<PencilWorkspace> pool;
-    compute_rhs_parallel_fused(g, eq, s, par, pool, g.interior(), nthreads);
-    expect_fields_bitwise(ref, par, g.interior());
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(GridSizes, FusedSweep, ::testing::Values(6, 9, 14));
@@ -258,45 +237,6 @@ INSTANTIATE_TEST_SUITE_P(ManufacturedSolutions, FusedConvergence,
                          ::testing::Values(&pressure_diffusion_error,
                                            &continuity_error,
                                            &induction_error));
-
-// ---------------------------------------------------------------------
-// Trajectory equivalence: 10 RK4 steps of the distributed solver with
-// cfg.fused_rhs on must land on the reference trajectory bitwise, in
-// the synchronous and the overlapped stepping mode, at 1, 2 and 4
-// ranks per panel.  (With YY_THREADS=2 from the ctest registration the
-// overlapped runs also exercise the threaded fused φ-slab sweep.)
-// Helpers shared with the overlap/SIMD/rank-death suites:
-// tests/support/equivalence.hpp.
-// ---------------------------------------------------------------------
-
-using testsupport::expect_bitwise_equal;
-using testsupport::run_case;
-using testsupport::RunResult;
-
-class FusedTrajectory : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(FusedTrajectory, BitwiseEqualToReferenceInSyncAndOverlapModes) {
-  const auto [pt, pp] = GetParam();
-  const int steps = 10;
-  core::SimulationConfig cfg = testsupport::small_trajectory_config();
-
-  cfg.fused_rhs = false;
-  cfg.overlap = false;
-  const RunResult ref = run_case(cfg, pt, pp, steps);
-  ASSERT_GT(ref.dt, 0.0);
-
-  cfg.fused_rhs = true;
-  const RunResult fused_sync = run_case(cfg, pt, pp, steps);
-  expect_bitwise_equal(ref, fused_sync);
-
-  cfg.overlap = true;
-  const RunResult fused_over = run_case(cfg, pt, pp, steps);
-  expect_bitwise_equal(ref, fused_over);
-}
-
-INSTANTIATE_TEST_SUITE_P(RankLayouts, FusedTrajectory,
-                         ::testing::Values(std::pair{1, 1}, std::pair{1, 2},
-                                           std::pair{2, 2}));
 
 }  // namespace
 }  // namespace yy::mhd

@@ -1,13 +1,14 @@
 /// The SIMD-backend lane-equivalence harness (DESIGN.md §14): the
-/// lane-widened fused sweep must reproduce the scalar fused sweep — and
-/// therefore the reference chain — *bitwise* at every supported lane
-/// width, because the per-point expression trees are the same
-/// grid/fd_stencils.hpp templates instantiated over Pack<W> lanes with
-/// FMA contraction pinned off.  Covered here:
+/// lane-widened pencil sweep must reproduce the reference chain
+/// *bitwise* at every supported lane width, because the per-point
+/// expression trees are the same grid/fd_stencils.hpp templates
+/// instantiated over Pack<W> lanes with FMA contraction pinned off.
+/// Width 1 is the scalar fused sweep (rhs_fused.cpp), so the reference
+/// chain, not the fused sweep, is the oracle.  Covered here:
 ///  * Pack<W> semantics: broadcast (including −0.0), load/store
 ///    round-trips, strictly elementwise arithmetic vs scalar ops.
 ///  * Width policy: parse_width_override, the force_active_width hook.
-///  * Lane sweep vs fused, bitwise: full interiors, the all-rim split,
+///  * Lane sweep vs reference, bitwise: full interiors, the all-rim split,
 ///    threaded φ-slabs, and every line remainder.  Grid n has a radial
 ///    interior extent of n−4, and the sweep walks lines of n−4, n−2 and
 ///    n points; n ∈ {6, 7, 9, 12, 14} covers every remainder 0–7 at
@@ -137,7 +138,7 @@ TEST(SimdWidthPolicy, CompiledMaxAndForceHook) {
 }
 
 // ---------------------------------------------------------------------
-// Lane sweep vs scalar fused sweep, bitwise.
+// Lane sweep vs the reference chain, bitwise.
 // ---------------------------------------------------------------------
 
 void fill_smooth(const SphericalGrid& g, Fields& s) {
@@ -179,26 +180,26 @@ constexpr int kWidths[] = {1, 2, 4, 8};
 
 class SimdSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(SimdSweep, MatchesFusedBitwiseOnFullInteriorAtEveryWidth) {
+TEST_P(SimdSweep, MatchesReferenceBitwiseOnFullInteriorAtEveryWidth) {
   const SphericalGrid g = test_grid(GetParam());
   const EquationParams eq = test_eq();
   Fields s(g);
   fill_smooth(g, s);
 
-  Fields fused(g);
-  PencilWorkspace pwf;
-  compute_rhs_fused(g, eq, s, fused, pwf, g.interior());
+  Fields ref(g);
+  Workspace ws(g);
+  compute_rhs(g, eq, s, ref, ws, g.interior());
 
   for (int w : kWidths) {
     SCOPED_TRACE(w);
     Fields lanes(g);
     PencilWorkspace pw;
     compute_rhs_simd_width(w, g, eq, s, lanes, pw, g.interior());
-    expect_fields_bitwise(fused, lanes, g.interior());
+    expect_fields_bitwise(ref, lanes, g.interior());
   }
 }
 
-TEST_P(SimdSweep, SplitInteriorPlusRimMatchesFusedBitwise) {
+TEST_P(SimdSweep, SplitInteriorPlusRimMatchesReferenceBitwise) {
   // On n = 6 the split interior collapses and every box is rim: the
   // lane sweep must handle arbitrary skinny boxes, not just interiors.
   const SphericalGrid g = test_grid(GetParam());
@@ -206,9 +207,9 @@ TEST_P(SimdSweep, SplitInteriorPlusRimMatchesFusedBitwise) {
   Fields s(g);
   fill_smooth(g, s);
 
-  Fields fused(g);
-  PencilWorkspace pwf;
-  compute_rhs_fused(g, eq, s, fused, pwf, g.interior());
+  Fields ref(g);
+  Workspace ws(g);
+  compute_rhs(g, eq, s, ref, ws, g.interior());
 
   const RhsSplit sp = split_rhs_box(g.interior(), g.ghost());
   for (int w : kWidths) {
@@ -218,19 +219,19 @@ TEST_P(SimdSweep, SplitInteriorPlusRimMatchesFusedBitwise) {
     compute_rhs_simd_width(w, g, eq, s, lanes, pw, sp.interior);
     for (const IndexBox& b : sp.rim)
       compute_rhs_simd_width(w, g, eq, s, lanes, pw, b);
-    expect_fields_bitwise(fused, lanes, g.interior());
+    expect_fields_bitwise(ref, lanes, g.interior());
   }
 }
 
-TEST_P(SimdSweep, ThreadedSlabsMatchFusedBitwise) {
+TEST_P(SimdSweep, ThreadedSlabsMatchReferenceBitwise) {
   const SphericalGrid g = test_grid(GetParam());
   const EquationParams eq = test_eq();
   Fields s(g);
   fill_smooth(g, s);
 
-  Fields fused(g);
-  PencilWorkspace pwf;
-  compute_rhs_fused(g, eq, s, fused, pwf, g.interior());
+  Fields ref(g);
+  Workspace ws(g);
+  compute_rhs(g, eq, s, ref, ws, g.interior());
 
   for (int w : kWidths) {
     for (int nthreads : {1, 2, 3, 7}) {
@@ -240,7 +241,7 @@ TEST_P(SimdSweep, ThreadedSlabsMatchFusedBitwise) {
       std::vector<PencilWorkspace> pool;
       compute_rhs_parallel_simd_width(w, g, eq, s, par, pool, g.interior(),
                                       nthreads);
-      expect_fields_bitwise(fused, par, g.interior());
+      expect_fields_bitwise(ref, par, g.interior());
     }
   }
 }
@@ -276,6 +277,7 @@ TEST(SimdRhs, ChargesIdenticalFlopsPerBoxAtEveryWidth) {
   Fields s(g);
   fill_smooth(g, s);
   Fields out(g);
+  Workspace ws(g);
   PencilWorkspace pw;
 
   const RhsSplit sp = split_rhs_box(g.interior(), g.ghost());
@@ -284,13 +286,13 @@ TEST(SimdRhs, ChargesIdenticalFlopsPerBoxAtEveryWidth) {
   for (const IndexBox& b : boxes) {
     if (b.volume() == 0) continue;
     flops::global_reset();
-    compute_rhs_fused(g, eq, s, out, pw, b);
-    const auto fused_count = flops::global_count();
-    EXPECT_GT(fused_count, 0u);
+    compute_rhs(g, eq, s, out, ws, b);
+    const auto ref_count = flops::global_count();
+    EXPECT_GT(ref_count, 0u);
     for (int w : kWidths) {
       flops::global_reset();
       compute_rhs_simd_width(w, g, eq, s, out, pw, b);
-      EXPECT_EQ(flops::global_count(), fused_count)
+      EXPECT_EQ(flops::global_count(), ref_count)
           << "width " << w << " box [" << b.r0 << "," << b.r1 << ")x[" << b.t0
           << "," << b.t1 << ")x[" << b.p0 << "," << b.p1 << ")";
     }
@@ -468,10 +470,10 @@ INSTANTIATE_TEST_SUITE_P(ManufacturedSolutions, SimdConvergence,
 // cfg.simd_rhs on must land on the reference trajectory bitwise, in the
 // synchronous and the overlapped stepping mode, at 1, 2 and 4 ranks per
 // panel — swept over widths {1, 2, compiled max} via the
-// force_active_width hook, which covers the scalar fallback plus at
+// force_active_width hook: width 1 is the scalar fused sweep, plus at
 // least two genuine lane widths on any x86-64 build.  (YY_THREADS=2
 // from the ctest registration makes the overlapped runs exercise the
-// threaded lane sweep too.)
+// threaded sweeps too.)
 // ---------------------------------------------------------------------
 
 using testsupport::expect_bitwise_equal;

@@ -21,8 +21,8 @@ namespace yy::testsupport {
 /// The shared small-trajectory config: big enough to exercise both
 /// panels, halo + overset exchange and every RHS term (rotation,
 /// gravity, seeded B), small enough for a 10-step run per case under
-/// sanitizers.  Suites tweak flags (overlap, fused_rhs, simd_rhs,
-/// scheme) on top of it.
+/// sanitizers.  Suites tweak flags (overlap, simd_rhs, scheme) on top
+/// of it.
 inline core::SimulationConfig small_trajectory_config() {
   core::SimulationConfig cfg;
   cfg.nr = 9;
