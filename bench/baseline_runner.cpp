@@ -367,8 +367,9 @@ bool run_kernel_bench(const std::string& out_dir) {
                      std::max(0.05, speedup - 1.15), "min"});
 
   // The SIMD leg: same gate pattern against the fused *scalar* sweep,
-  // floor pinned at 1.3× (ISSUE 9's acceptance bar) — the lane packs
-  // must keep paying for themselves or the comparison fails.
+  // floor pinned at 2.2× — just under the lowest of 14 readings (2.28)
+  // of the register-resident lane sweep on an AVX-512 host.  The lane
+  // packs must keep paying for themselves or the comparison fails.
   const double simd_speedup =
       simd.seconds_per_point_per_step > 0.0
           ? fused.seconds_per_point_per_step / simd.seconds_per_point_per_step
@@ -376,7 +377,7 @@ bool run_kernel_bench(const std::string& out_dir) {
   metrics.push_back({"seconds_per_point_per_step_simd",
                      simd.seconds_per_point_per_step, 0.80, 0.0, "max"});
   metrics.push_back({"rhs_simd_speedup", simd_speedup, 0.0,
-                     std::max(0.05, simd_speedup - 1.3), "min"});
+                     std::max(0.05, simd_speedup - 2.2), "min"});
   // Lane utilization of the timed SIMD step (analytic, so the bands are
   // tight): the measured counterpart of the ES model's vector columns.
   metrics.push_back({"simd_avg_vector_length", simd.simd_avg_vector_length,

@@ -119,11 +119,24 @@ class PlaneRing {
   double& at(int ir, int it, int ip) { return data_[index(ir, it, ip)]; }
   double at(int ir, int it, int ip) const { return data_[index(ir, it, ip)]; }
 
+  /// Base of the slot holding plane ip — the ring's one modulo per
+  /// plane.  Within a slot, (ir, it) sits at offset origin() + ir +
+  /// row()·it, so a sweep resolves each plane once and then addresses
+  /// it without any division (fd::Planes in grid/fd_stencils_simd.hpp).
+  double* plane(int ip) { return data_.data() + slot_offset(ip); }
+  const double* plane(int ip) const { return data_.data() + slot_offset(ip); }
+  /// θ stride within a plane, in doubles (the radial extent).
+  std::ptrdiff_t row() const { return nr_; }
+  /// In-plane offset of (0, 0): minus that of the covered origin.
+  std::ptrdiff_t origin() const {
+    return -(static_cast<std::ptrdiff_t>(r0_) +
+             static_cast<std::ptrdiff_t>(nr_) * t0_);
+  }
+
   /// Address of (ir, it, ip) inside the resident plane.  The radial
   /// index is unit-stride within a plane, so W consecutive doubles from
-  /// lane_at(ir, …) are the values at ir … ir+W−1 — the load/store hook
-  /// of the SIMD sweep (mhd/rhs_simd.cpp).  The caller must keep
-  /// ir+W−1 inside the covered radial extent.
+  /// lane_at(ir, …) are the values at ir … ir+W−1.  The caller must
+  /// keep ir+W−1 inside the covered radial extent.
   double* lane_at(int ir, int it, int ip) { return &data_[index(ir, it, ip)]; }
   const double* lane_at(int ir, int it, int ip) const {
     return &data_[index(ir, it, ip)];
@@ -143,13 +156,15 @@ class PlaneRing {
   std::size_t allocated_doubles() const { return data_.size(); }
 
  private:
-  std::size_t index(int ir, int it, int ip) const {
+  std::size_t slot_offset(int ip) const {
     YY_ASSERT_DBG(ip >= 0 && depth_ > 0);
+    return static_cast<std::size_t>(ip % depth_) *
+           (static_cast<std::size_t>(nr_) * nt_);
+  }
+  std::size_t index(int ir, int it, int ip) const {
     YY_ASSERT_DBG(ir >= r0_ && ir < r0_ + nr_);
     YY_ASSERT_DBG(it >= t0_ && it < t0_ + nt_);
-    const std::size_t plane = static_cast<std::size_t>(ip % depth_);
-    return plane * (static_cast<std::size_t>(nr_) * nt_) +
-           static_cast<std::size_t>(ir - r0_) +
+    return slot_offset(ip) + static_cast<std::size_t>(ir - r0_) +
            static_cast<std::size_t>(nr_) * static_cast<std::size_t>(it - t0_);
   }
 

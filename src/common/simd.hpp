@@ -30,12 +30,44 @@
 
 namespace yy::simd {
 
+namespace detail {
+
+/// The GCC vector type of W doubles and its register splat.  The splat
+/// is a per-width explicit initializer: GCC rejects `V{s, …}` inside
+/// Pack<W> while W is dependent, so each width spells its own list.
+/// It assigns through a reference rather than returning V, which would
+/// draw -Wpsabi in the TUs built without the native ISA flags.
+template <int W>
+struct Lanes;
+template <>
+struct Lanes<1> {
+  typedef double V __attribute__((vector_size(8)));
+  static void splat(V& v, double s) { v = V{s}; }
+};
+template <>
+struct Lanes<2> {
+  typedef double V __attribute__((vector_size(16)));
+  static void splat(V& v, double s) { v = V{s, s}; }
+};
+template <>
+struct Lanes<4> {
+  typedef double V __attribute__((vector_size(32)));
+  static void splat(V& v, double s) { v = V{s, s, s, s}; }
+};
+template <>
+struct Lanes<8> {
+  typedef double V __attribute__((vector_size(64)));
+  static void splat(V& v, double s) { v = V{s, s, s, s, s, s, s, s}; }
+};
+
+}  // namespace detail
+
 /// W contiguous doubles with elementwise arithmetic (see file comment).
 template <int W>
 struct Pack {
   static_assert(W == 1 || W == 2 || W == 4 || W == 8,
                 "supported lane widths: 1, 2, 4, 8");
-  typedef double V __attribute__((vector_size(W * 8)));
+  typedef typename detail::Lanes<W>::V V;
   V v;
 
   static constexpr int width = W;
@@ -44,15 +76,14 @@ struct Pack {
   // NOLINTNEXTLINE(google-explicit-constructor): broadcast, so that the
   // mixed scalar⊙pack expressions in the stencils read like the scalar
   // originals (`2.0 * ri * vrc` etc.).
-  Pack(double s) {
-    // Copy through a stack array: GCC rejects subscripting a vector
-    // whose width is a dependent expression at template-parse time,
-    // and W == 1 lowers V to plain double anyway.  The copies fold to
-    // a broadcast at -O2.
-    double tmp[W];
-    for (int i = 0; i < W; ++i) tmp[i] = s;
-    __builtin_memcpy(&v, tmp, sizeof(v));
-  }
+  //
+  // A register splat (one vbroadcastsd on AVX-512): every lane is
+  // initialized with `s` itself — no arithmetic, so it is exact for
+  // every payload, −0.0, subnormals, ±inf and NaN payloads included.
+  // Copying through a stack array instead compiles to two 32-byte
+  // stores and a 64-byte reload per broadcast, which defeats store
+  // forwarding in every scalar⊙pack node of the stencils.
+  Pack(double s) { detail::Lanes<W>::splat(v, s); }
 
   static Pack wrap(V x) {
     Pack r;

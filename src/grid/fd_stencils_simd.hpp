@@ -5,11 +5,19 @@
 /// The stencils are templated on a metric provider and on field
 /// accessors; instantiating them with the types below turns every
 /// `a(ir, it, ip)` into a load of W consecutive doubles (the radial
-/// index is unit-stride in Field3, ScratchField, and PlaneRing alike)
-/// and every arithmetic node into an elementwise simd::Pack op.  The
-/// expression trees — and therefore, with -ffp-contract=off, the
-/// per-lane IEEE results — are literally the ones the scalar sweep
-/// evaluates: same header, same source lines, wider loop.
+/// index is unit-stride in Field3 and PlaneRing alike) and every
+/// arithmetic node into an elementwise simd::Pack op.  The expression
+/// trees — and therefore, with -ffp-contract=off, the per-lane IEEE
+/// results — are literally the ones the scalar sweep evaluates: same
+/// header, same source lines, wider loop.
+///
+/// Addressing: a sweep resolves the φ planes a stencil can reach once
+/// per output plane (Planes, from ring_planes / field_planes: one
+/// PlaneRing modulo or Field3 plane offset per plane), outside its θ
+/// and r loops.  The lane accessors then take the stencils' φ argument
+/// as an offset from that plane (0 = the plane itself, ±1 = its
+/// neighbours), so a load is a base pointer plus ir + row·it, with no
+/// division or 3-D index in the inner loop.
 ///
 /// Metric factors: 1/r is the only lane-varying one (packs load W
 /// table entries); every θ/φ factor is constant across a radial lane
@@ -20,8 +28,9 @@
 /// allocations the scalar stencil reads.
 #pragma once
 
-#include "common/array3d.hpp"
-#include "common/pencil.hpp"
+#include <cstddef>
+#include <type_traits>
+
 #include "common/simd.hpp"
 #include "grid/spherical_grid.hpp"
 
@@ -40,22 +49,48 @@ struct LaneMetrics {
   double inv_sin_t(int it) const { return g->inv_sin_t(it); }
 };
 
-/// W-lane accessor over a Field3 (or any Array3D<double>).
-template <int W>
-struct FieldLanes {
-  const Array3D<double>* f = nullptr;
-  simd::Pack<W> operator()(int ir, int it, int ip) const {
-    return simd::Pack<W>::load(f->data() + f->index(ir, it, ip));
+/// The φ planes ip−R … ip+R of one field, resolved once: slot R + d
+/// holds plane ip+d, and (ir, it) of a slot sits at base[slot] +
+/// origin + ir + row·it.  T is `double` for the planes a sweep stores.
+template <int R, class T = const double>
+struct Planes {
+  T* base[2 * R + 1] = {};
+  std::ptrdiff_t row = 0, origin = 0;
+
+  /// Address of (ir, it) on plane ip+d (|d| ≤ R).
+  T* at(int ir, int it, int d) const {
+    return base[R + d] + (origin + ir + row * it);
   }
 };
 
-/// W-lane accessor over a PlaneRing (the fused sweep's rolling pencil
-/// scratch); radial index is unit-stride within each resident plane.
-template <int W>
-struct RingLanes {
-  const common::PlaneRing* ring = nullptr;
-  simd::Pack<W> operator()(int ir, int it, int ip) const {
-    return simd::Pack<W>::load(ring->lane_at(ir, it, ip));
+/// Planes ip−R … ip+R of a pencil ring (one modulo per plane).
+template <int R, class Ring>
+auto ring_planes(Ring& ring, int ip) {
+  Planes<R, std::remove_pointer_t<decltype(ring.plane(ip))>> p;
+  for (int d = -R; d <= R; ++d) p.base[R + d] = ring.plane(ip + d);
+  p.row = ring.row();
+  p.origin = ring.origin();
+  return p;
+}
+
+/// Planes ip−R … ip+R of a whole-patch field.
+template <int R, class Field>
+auto field_planes(Field& f, int ip) {
+  Planes<R, std::remove_pointer_t<decltype(f.data())>> p;
+  for (int d = -R; d <= R; ++d)
+    p.base[R + d] = f.data() + f.index(0, 0, ip + d);
+  p.row = f.nr();
+  p.origin = 0;
+  return p;
+}
+
+/// W-lane accessor over resolved planes: the stencils' φ argument is
+/// the offset d from the resolved plane (see file comment).
+template <int W, int R = 1>
+struct PlaneLanes {
+  Planes<R> p;
+  simd::Pack<W> operator()(int ir, int it, int d) const {
+    return simd::Pack<W>::load(p.at(ir, it, d));
   }
 };
 

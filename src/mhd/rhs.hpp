@@ -119,8 +119,12 @@ inline constexpr int kPencilPlanes = 4 * 5 + 7 * 3;
 /// contract and bitwise-identical result as compute_rhs (see file
 /// comment), evaluated in one rolling-pencil sweep over φ with
 /// radial-innermost loops; charges exactly the same flop count.  Kept
-/// as a plain-double loop in a portable TU because it runs 1.6–1.8×
-/// faster than the Pack<1> instantiation of the lane sweep.
+/// as a plain-double loop in a portable TU because it ran 1.6–1.8×
+/// faster than the Pack<1> instantiation of the lane sweep.  That gap
+/// no longer holds: with plane-resolved addressing and flattened lane
+/// bodies, the Pack<1> sweep takes 0.77–0.84× this loop's time (native
+/// and -DYY_SIMD=OFF builds alike; DESIGN.md §14), so this loop is a
+/// deletion candidate (ROADMAP).
 void compute_rhs_fused(const SphericalGrid& g, const EquationParams& eq,
                        const Fields& state, Fields& rhs, PencilWorkspace& pw,
                        const IndexBox& box);

@@ -8,16 +8,20 @@
 ///
 /// Bitwise contract (DESIGN.md §14): every per-point body below is the
 /// same grid/fd_stencils.hpp template the scalar fused sweep
-/// instantiates — the accessor types change (FieldLanes / RingLanes /
-/// LaneMetrics instead of Field3 / PlaneRing::View / SphericalGrid),
-/// the source expressions do not.  Pack arithmetic is strictly
-/// elementwise and the build pins -ffp-contract=off, so lane i of any
-/// pack equals the scalar evaluation at ir+i bit for bit — which is
-/// also why a point computed twice by overlapping packs is stored with
-/// the same bytes both times.  The equivalence suite
+/// instantiates — the accessor types change (PlaneLanes / LaneMetrics
+/// instead of Field3 / PlaneRing::View / SphericalGrid), the source
+/// expressions do not.  Pack arithmetic is strictly elementwise and
+/// the build pins -ffp-contract=off, so lane i of any pack equals the
+/// scalar evaluation at ir+i bit for bit — which is also why a point
+/// computed twice by overlapping packs is stored with the same bytes
+/// both times.  The equivalence suite
 /// (tests/mhd/test_rhs_simd.cpp) pins this for every width, split,
 /// thread count, and line remainder.
 ///
+/// Code generation: each φ plane's fields are resolved to plane bases
+/// once (fd::Planes; one PlaneRing modulo per ring per plane), and the
+/// flattened per-point bodies inline every stencil, accessor and Pack
+/// operator, so the packs stay in vector registers from load to store.
 /// This TU is compiled with the native ISA flags (see src/mhd/
 /// CMakeLists.txt) so the packs lower to real vector instructions; the
 /// rest of the tree keeps the portable baseline flags.
@@ -51,70 +55,97 @@ struct SweepCtx {
   double c43, gm1, cstr;
 };
 
-/// v = f/ρ, T = p/ρ at lanes ir…ir+W−1 of plane q (fill_vt body).
+/// The planes one fill_vt plane reads and writes, resolved once.
+struct VtPlanes {
+  fd::Planes<0> rho, fr, ft, fp, p;
+  fd::Planes<0, double> vr, vt, vp, T;
+};
+
+/// The planes one fill_derived plane reads and writes, resolved once.
+struct DerivedPlanes {
+  fd::Planes<1> ar, at, ap, vr, vt, vp;
+  fd::Planes<0, double> br, bt, bp, divv, cvr, cvt, cvp;
+};
+
+/// The planes one combine plane reads and writes (o_* are the RHS
+/// outputs), resolved once.
+struct CombinePlanes {
+  fd::Planes<0> rho;
+  fd::Planes<1> fr, ft, fp, p, vr, vt, vp, T, br, bt, bp, divv, cvr, cvt,
+      cvp;
+  fd::Planes<0, double> o_rho, o_fr, o_ft, o_fp, o_p, o_ar, o_at, o_ap;
+};
+
+// The per-point bodies are flattened: every stencil, accessor and Pack
+// operator inlines into them, so no pack crosses a call.  Lane
+// accessors take the stencils' φ argument as an offset from the
+// resolved plane, so the bodies pass 0 where the scalar sweep passes ip.
+
+/// v = f/ρ, T = p/ρ at lanes ir…ir+W−1 of the plane (fill_vt body).
 template <int W>
-inline void vt_point(const SweepCtx& c, int ir, int it, int q) {
+[[gnu::flatten]] void vt_point(const VtPlanes& pl, int ir, int it) {
   using P = simd::Pack<W>;
-  const fd::FieldLanes<W> rho{&c.state.rho}, fr{&c.state.fr},
-      ft{&c.state.ft}, fp{&c.state.fp}, p{&c.state.p};
-  const P inv_rho = 1.0 / rho(ir, it, q);
-  (fr(ir, it, q) * inv_rho).store(c.pw.vr.lane_at(ir, it, q));
-  (ft(ir, it, q) * inv_rho).store(c.pw.vt.lane_at(ir, it, q));
-  (fp(ir, it, q) * inv_rho).store(c.pw.vp.lane_at(ir, it, q));
-  (p(ir, it, q) * inv_rho).store(c.pw.T.lane_at(ir, it, q));
+  const fd::PlaneLanes<W, 0> rho{pl.rho}, fr{pl.fr}, ft{pl.ft}, fp{pl.fp},
+      p{pl.p};
+  const P inv_rho = 1.0 / rho(ir, it, 0);
+  (fr(ir, it, 0) * inv_rho).store(pl.vr.at(ir, it, 0));
+  (ft(ir, it, 0) * inv_rho).store(pl.vt.at(ir, it, 0));
+  (fp(ir, it, 0) * inv_rho).store(pl.vp.at(ir, it, 0));
+  (p(ir, it, 0) * inv_rho).store(pl.T.at(ir, it, 0));
 }
 
-/// B = ∇×A, ∇·v, ∇×v at lanes ir…ir+W−1 of plane q (fill_derived body).
+/// B = ∇×A, ∇·v, ∇×v at lanes ir…ir+W−1 of the plane (fill_derived
+/// body).
 template <int W>
-inline void derived_point(const SweepCtx& c, int ir, int it, int q) {
+[[gnu::flatten]] void derived_point(const SweepCtx& c, const DerivedPlanes& pl,
+                                    int ir, int it) {
   const fd::LaneMetrics<W> g{&c.g};
-  const fd::FieldLanes<W> ar{&c.state.ar}, at{&c.state.at}, ap{&c.state.ap};
-  const fd::RingLanes<W> Vr{&c.pw.vr}, Vt{&c.pw.vt}, Vp{&c.pw.vp};
-  const auto b =
-      fd::curl_point(g, ar, at, ap, c.c_r, c.c_t, c.c_p, ir, it, q);
-  b.r.store(c.pw.br.lane_at(ir, it, q));
-  b.t.store(c.pw.bt.lane_at(ir, it, q));
-  b.p.store(c.pw.bp.lane_at(ir, it, q));
-  fd::div_point(g, Vr, Vt, Vp, c.c_r, c.c_t, c.c_p, ir, it, q)
-      .store(c.pw.divv.lane_at(ir, it, q));
-  const auto cv =
-      fd::curl_point(g, Vr, Vt, Vp, c.c_r, c.c_t, c.c_p, ir, it, q);
-  cv.r.store(c.pw.cvr.lane_at(ir, it, q));
-  cv.t.store(c.pw.cvt.lane_at(ir, it, q));
-  cv.p.store(c.pw.cvp.lane_at(ir, it, q));
+  const fd::PlaneLanes<W> ar{pl.ar}, at{pl.at}, ap{pl.ap}, Vr{pl.vr},
+      Vt{pl.vt}, Vp{pl.vp};
+  const double c_r = c.c_r, c_t = c.c_t, c_p = c.c_p;
+  const auto b = fd::curl_point(g, ar, at, ap, c_r, c_t, c_p, ir, it, 0);
+  b.r.store(pl.br.at(ir, it, 0));
+  b.t.store(pl.bt.at(ir, it, 0));
+  b.p.store(pl.bp.at(ir, it, 0));
+  fd::div_point(g, Vr, Vt, Vp, c_r, c_t, c_p, ir, it, 0)
+      .store(pl.divv.at(ir, it, 0));
+  const auto cv = fd::curl_point(g, Vr, Vt, Vp, c_r, c_t, c_p, ir, it, 0);
+  cv.r.store(pl.cvr.at(ir, it, 0));
+  cv.t.store(pl.cvt.at(ir, it, 0));
+  cv.p.store(pl.cvp.at(ir, it, 0));
 }
 
 /// All eight tendencies at lanes ir…ir+W−1 of output plane ip, in the
 /// reference chain's accumulation order (combine body).
 template <int W>
-inline void combine_point(const SweepCtx& c, int ir, int it, int ip,
-                          double st, double ct) {
+[[gnu::flatten]] void combine_point(const SweepCtx& c, const CombinePlanes& pl,
+                                    int ir, int it, int ip, double st,
+                                    double ct) {
   using P = simd::Pack<W>;
   const fd::LaneMetrics<W> g{&c.g};
   const EquationParams& eq = c.eq;
-  const fd::FieldLanes<W> Srho{&c.state.rho}, Sfr{&c.state.fr},
-      Sft{&c.state.ft}, Sfp{&c.state.fp}, Sp{&c.state.p};
-  const fd::RingLanes<W> Vr{&c.pw.vr}, Vt{&c.pw.vt}, Vp{&c.pw.vp},
-      Tp{&c.pw.T}, Br{&c.pw.br}, Bt{&c.pw.bt}, Bp{&c.pw.bp},
-      Dv{&c.pw.divv}, Cr{&c.pw.cvr}, Ct{&c.pw.cvt}, Cp{&c.pw.cvp};
+  const fd::PlaneLanes<W, 0> Srho{pl.rho};
+  const fd::PlaneLanes<W> Sfr{pl.fr}, Sft{pl.ft}, Sfp{pl.fp}, Sp{pl.p},
+      Vr{pl.vr}, Vt{pl.vt}, Vp{pl.vp}, Tp{pl.T}, Br{pl.br}, Bt{pl.bt},
+      Bp{pl.bp}, Dv{pl.divv}, Cr{pl.cvr}, Ct{pl.cvt}, Cp{pl.cvp};
   const double c_r = c.c_r, c_t = c.c_t, c_p = c.c_p;
 
   // --- eq. (2): ∂ρ/∂t = −∇·f -----------------------------------
-  (-fd::div_point(g, Sfr, Sft, Sfp, c_r, c_t, c_p, ir, it, ip))
-      .store(&c.rhs.rho(ir, it, ip));
+  (-fd::div_point(g, Sfr, Sft, Sfp, c_r, c_t, c_p, ir, it, 0))
+      .store(pl.o_rho.at(ir, it, 0));
 
   // --- eq. (3): momentum ---------------------------------------
-  const auto dvf = fd::div_vf_point(g, Vr, Vt, Vp, Sfr, Sft, Sfp, c_r, c_t,
-                                    c_p, ir, it, ip);
-  const auto gp = fd::grad_point(g, Sp, c_r, c_t, c_p, ir, it, ip);
+  const auto dvf =
+      fd::div_vf_point(g, Vr, Vt, Vp, Sfr, Sft, Sfp, c_r, c_t, c_p, ir, it, 0);
+  const auto gp = fd::grad_point(g, Sp, c_r, c_t, c_p, ir, it, 0);
   P fr_acc = -dvf.r - gp.r;
   P ft_acc = -dvf.t - gp.t;
   P fp_acc = -dvf.p - gp.p;
-  const auto gd = fd::grad_point(g, Dv, c_r, c_t, c_p, ir, it, ip);
+  const auto gd = fd::grad_point(g, Dv, c_r, c_t, c_p, ir, it, 0);
   fr_acc += c.c43 * gd.r;
   ft_acc += c.c43 * gd.t;
   fp_acc += c.c43 * gd.p;
-  const auto cc = fd::curl_point(g, Cr, Ct, Cp, c_r, c_t, c_p, ir, it, ip);
+  const auto cc = fd::curl_point(g, Cr, Ct, Cp, c_r, c_t, c_p, ir, it, 0);
   fr_acc -= eq.mu * cc.r;
   ft_acc -= eq.mu * cc.t;
   fp_acc -= eq.mu * cc.p;
@@ -126,10 +157,10 @@ inline void combine_point(const SweepCtx& c, int ir, int it, int ip,
       eq.omega.x * ct * cp + eq.omega.y * ct * sp - eq.omega.z * st;
   const double o_p = -eq.omega.x * sp + eq.omega.y * cp;
 
-  const P rho = Srho(ir, it, ip);
-  const P vrc = Vr(ir, it, ip), vtc = Vt(ir, it, ip), vpc = Vp(ir, it, ip);
-  const P brc = Br(ir, it, ip), btc = Bt(ir, it, ip), bpc = Bp(ir, it, ip);
-  const auto j = fd::curl_point(g, Br, Bt, Bp, c_r, c_t, c_p, ir, it, ip);
+  const P rho = Srho(ir, it, 0);
+  const P vrc = Vr(ir, it, 0), vtc = Vt(ir, it, 0), vpc = Vp(ir, it, 0);
+  const P brc = Br(ir, it, 0), btc = Bt(ir, it, 0), bpc = Bp(ir, it, 0);
+  const auto j = fd::curl_point(g, Br, Bt, Bp, c_r, c_t, c_p, ir, it, 0);
   const P jrc = j.r, jtc = j.t, jpc = j.p;
 
   const P gr = -eq.g0 * g.inv_r(ir) * g.inv_r(ir);  // g = −g0/r² r̂
@@ -138,25 +169,24 @@ inline void combine_point(const SweepCtx& c, int ir, int it, int ip,
             2.0 * rho * (vtc * o_p - vpc * o_t);
   ft_acc += (jpc * brc - jrc * bpc) + 2.0 * rho * (vpc * o_r - vrc * o_p);
   fp_acc += (jrc * btc - jtc * brc) + 2.0 * rho * (vrc * o_t - vtc * o_r);
-  fr_acc.store(&c.rhs.fr(ir, it, ip));
-  ft_acc.store(&c.rhs.ft(ir, it, ip));
-  fp_acc.store(&c.rhs.fp(ir, it, ip));
+  fr_acc.store(pl.o_fr.at(ir, it, 0));
+  ft_acc.store(pl.o_ft.at(ir, it, 0));
+  fp_acc.store(pl.o_fp.at(ir, it, 0));
 
   // --- eq. (4): pressure ---------------------------------------
-  const P adv =
-      fd::advect_point(g, Vr, Vt, Vp, Sp, c_r, c_t, c_p, ir, it, ip);
+  const P adv = fd::advect_point(g, Vr, Vt, Vp, Sp, c_r, c_t, c_p, ir, it, 0);
   const P lap =
-      fd::laplacian_point(g, Tp, c.irr, c.itt, c.ipp, c_r, c_t, ir, it, ip);
+      fd::laplacian_point(g, Tp, c.irr, c.itt, c.ipp, c_r, c_t, ir, it, 0);
   const P j2 = jrc * jrc + jtc * jtc + jpc * jpc;
-  P p_acc = -adv - eq.gamma * Sp(ir, it, ip) * Dv(ir, it, ip) +
+  P p_acc = -adv - eq.gamma * Sp(ir, it, 0) * Dv(ir, it, 0) +
             c.gm1 * (eq.kappa * lap + eq.eta * j2);
-  p_acc += c.cstr * fd::strain_point(g, Vr, Vt, Vp, c_r, c_t, c_p, ir, it, ip);
-  p_acc.store(&c.rhs.p(ir, it, ip));
+  p_acc += c.cstr * fd::strain_point(g, Vr, Vt, Vp, c_r, c_t, c_p, ir, it, 0);
+  p_acc.store(pl.o_p.at(ir, it, 0));
 
   // --- eq. (5): ∂A/∂t = −E = v×B − ηj --------------------------
-  ((vtc * bpc - vpc * btc) - eq.eta * jrc).store(&c.rhs.ar(ir, it, ip));
-  ((vpc * brc - vrc * bpc) - eq.eta * jtc).store(&c.rhs.at(ir, it, ip));
-  ((vrc * btc - vtc * brc) - eq.eta * jpc).store(&c.rhs.ap(ir, it, ip));
+  ((vtc * bpc - vpc * btc) - eq.eta * jrc).store(pl.o_ar.at(ir, it, 0));
+  ((vpc * brc - vrc * bpc) - eq.eta * jtc).store(pl.o_at.at(ir, it, 0));
+  ((vrc * btc - vtc * brc) - eq.eta * jpc).store(pl.o_ap.at(ir, it, 0));
 }
 
 /// Walks the radial line [r0, r1) in W-lane packs: ⌊L/W⌋ packs from
@@ -186,26 +216,78 @@ constexpr std::uint64_t line_trips(std::uint64_t len, std::uint64_t w) {
 }
 
 /// The rolling sweep at pack width W: same plane schedule as
-/// compute_rhs_fused, every radial line walked by walk_line<W>.
+/// compute_rhs_fused, every radial line walked by walk_line<W>.  Each
+/// plane's fields are resolved once, outside its θ and r loops.
 template <int W>
 void sweep(const SweepCtx& c) {
+  // Read-only views pick the const plane bases; pw and o are stored to.
+  const Fields& s = c.state;
+  PencilWorkspace& pw = c.pw;
+  const PencilWorkspace& r = pw;
+  Fields& o = c.rhs;
   const auto fill_vt = [&](int q) {
+    const VtPlanes pl{.rho = fd::field_planes<0>(s.rho, q),
+                      .fr = fd::field_planes<0>(s.fr, q),
+                      .ft = fd::field_planes<0>(s.ft, q),
+                      .fp = fd::field_planes<0>(s.fp, q),
+                      .p = fd::field_planes<0>(s.p, q),
+                      .vr = fd::ring_planes<0>(pw.vr, q),
+                      .vt = fd::ring_planes<0>(pw.vt, q),
+                      .vp = fd::ring_planes<0>(pw.vp, q),
+                      .T = fd::ring_planes<0>(pw.T, q)};
     for (int it = c.e2.t0; it < c.e2.t1; ++it)
       walk_line<W>(c.e2.r0, c.e2.r1, [&](auto w, int ir) {
-        vt_point<decltype(w)::value>(c, ir, it, q);
+        vt_point<decltype(w)::value>(pl, ir, it);
       });
   };
   const auto fill_derived = [&](int q) {
+    const DerivedPlanes pl{.ar = fd::field_planes<1>(s.ar, q),
+                           .at = fd::field_planes<1>(s.at, q),
+                           .ap = fd::field_planes<1>(s.ap, q),
+                           .vr = fd::ring_planes<1>(r.vr, q),
+                           .vt = fd::ring_planes<1>(r.vt, q),
+                           .vp = fd::ring_planes<1>(r.vp, q),
+                           .br = fd::ring_planes<0>(pw.br, q),
+                           .bt = fd::ring_planes<0>(pw.bt, q),
+                           .bp = fd::ring_planes<0>(pw.bp, q),
+                           .divv = fd::ring_planes<0>(pw.divv, q),
+                           .cvr = fd::ring_planes<0>(pw.cvr, q),
+                           .cvt = fd::ring_planes<0>(pw.cvt, q),
+                           .cvp = fd::ring_planes<0>(pw.cvp, q)};
     for (int it = c.e1.t0; it < c.e1.t1; ++it)
       walk_line<W>(c.e1.r0, c.e1.r1, [&](auto w, int ir) {
-        derived_point<decltype(w)::value>(c, ir, it, q);
+        derived_point<decltype(w)::value>(c, pl, ir, it);
       });
   };
   const auto combine = [&](int ip) {
+    const CombinePlanes pl{.rho = fd::field_planes<0>(s.rho, ip),
+                           .fr = fd::field_planes<1>(s.fr, ip),
+                           .ft = fd::field_planes<1>(s.ft, ip),
+                           .fp = fd::field_planes<1>(s.fp, ip),
+                           .p = fd::field_planes<1>(s.p, ip),
+                           .vr = fd::ring_planes<1>(r.vr, ip),
+                           .vt = fd::ring_planes<1>(r.vt, ip),
+                           .vp = fd::ring_planes<1>(r.vp, ip),
+                           .T = fd::ring_planes<1>(r.T, ip),
+                           .br = fd::ring_planes<1>(r.br, ip),
+                           .bt = fd::ring_planes<1>(r.bt, ip),
+                           .bp = fd::ring_planes<1>(r.bp, ip),
+                           .divv = fd::ring_planes<1>(r.divv, ip),
+                           .cvr = fd::ring_planes<1>(r.cvr, ip),
+                           .cvt = fd::ring_planes<1>(r.cvt, ip),
+                           .cvp = fd::ring_planes<1>(r.cvp, ip),
+                           .o_rho = fd::field_planes<0>(o.rho, ip),
+                           .o_fr = fd::field_planes<0>(o.fr, ip),
+                           .o_ft = fd::field_planes<0>(o.ft, ip),
+                           .o_fp = fd::field_planes<0>(o.fp, ip),
+                           .o_p = fd::field_planes<0>(o.p, ip),
+                           .o_ar = fd::field_planes<0>(o.ar, ip),
+                           .o_at = fd::field_planes<0>(o.at, ip),
+                           .o_ap = fd::field_planes<0>(o.ap, ip)};
     for (int it = c.box.t0; it < c.box.t1; ++it) {
       const double st = c.g.sin_t(it), ct = c.g.cos_t(it);
       walk_line<W>(c.box.r0, c.box.r1, [&](auto w, int ir) {
-        combine_point<decltype(w)::value>(c, ir, it, ip, st, ct);
+        combine_point<decltype(w)::value>(c, pl, ir, it, ip, st, ct);
       });
     }
   };
@@ -255,8 +337,9 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
   if (box.volume() == 0) return;
   if (width == 1) {
     // The scalar kernel is the plain-double fused sweep in its portable
-    // TU, not sweep<1>: the Pack<1> instantiation is bitwise equal but
-    // measured 1.6–1.8× slower.  It checks reach and charges flops.
+    // TU, not sweep<1> (bitwise equal; once 1.6–1.8× slower, now the
+    // faster of the two — see compute_rhs_fused in rhs.hpp).  It checks
+    // reach and charges flops.
     compute_rhs_fused(g, eq, state, rhs, pw, box);
     record_lane_stats(1, box);
     return;

@@ -5,8 +5,11 @@
 /// instantiated over Pack<W> lanes with FMA contraction pinned off.
 /// Width 1 is the scalar fused sweep (rhs_fused.cpp), so the reference
 /// chain, not the fused sweep, is the oracle.  Covered here:
-///  * Pack<W> semantics: broadcast (including −0.0), load/store
-///    round-trips, strictly elementwise arithmetic vs scalar ops.
+///  * Pack<W> semantics: broadcast (−0.0, subnormal, ±inf, NaN payload),
+///    load/store round-trips, strictly elementwise arithmetic vs scalar
+///    ops.
+///  * Plane resolution: resolved ring/field plane bases address exactly
+///    what PlaneRing::lane_at and Field3 indexing address.
 ///  * Width policy: parse_width_override, the force_active_width hook.
 ///  * Lane sweep vs reference, bitwise: full interiors, the all-rim split,
 ///    threaded φ-slabs, and every line remainder.  Grid n has a radial
@@ -24,14 +27,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/flops.hpp"
 #include "common/simd.hpp"
 #include "grid/analytic_fields.hpp"
+#include "grid/fd_stencils_simd.hpp"
 #include "support/equivalence.hpp"
 
 namespace yy::mhd {
@@ -51,9 +57,15 @@ void expect_pack_semantics() {
   static_assert(P::width == W);
   static_assert(sizeof(typename P::V) == W * sizeof(double));
 
-  // Broadcast must be exact for every payload, including signed zero
-  // (a zero-init + add would turn −0.0 into +0.0).
-  for (double s : {-0.0, 1.0 / 3.0, -2.7e-308, 5.0e307}) {
+  // Broadcast must be exact for every payload: signed zero (a zero-init
+  // + add would turn −0.0 into +0.0), the smallest subnormal, ±inf and
+  // a quiet NaN that carries a payload.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double qnan = std::bit_cast<double>(0x7ff8'0000'dead'beefULL);
+  ASSERT_TRUE(std::isnan(qnan));
+  for (double s : {-0.0, 1.0 / 3.0, -2.7e-308, 5.0e307,
+                   std::numeric_limits<double>::denorm_min(), inf, -inf,
+                   qnan}) {
     const P b(s);
     for (int i = 0; i < W; ++i) {
       const double l = b.lane(i);
@@ -100,6 +112,62 @@ TEST(SimdPack, ElementwiseBitwiseSemanticsAtEveryWidth) {
   expect_pack_semantics<2>();
   expect_pack_semantics<4>();
   expect_pack_semantics<8>();
+}
+
+// ---------------------------------------------------------------------
+// Plane resolution: the lane accessors address a ring through one base
+// per plane instead of a modulo per load, and must land on exactly the
+// addresses of the per-point PlaneRing::lane_at.
+// ---------------------------------------------------------------------
+
+TEST(SimdPlanes, ResolvedRingAddressesMatchLaneAtAfterGrowingEnsure) {
+  for (const int depth : {3, 5}) {
+    SCOPED_TRACE(depth);
+    common::PlaneRing ring;
+    ring.ensure(2, 4, 7, 3, 5);
+    // Grows depth and cover; the hull's (r, θ) origin is (2, 1), not 0.
+    ring.ensure(depth, 2, 11, 1, 6);
+    ASSERT_EQ(ring.depth(), depth);
+    const common::PlaneRing& cring = ring;
+    // ip runs several wraps past the depth.
+    for (int ip = 1; ip < 4 * depth + 2; ++ip) {
+      for (int it = 1; it < 6; ++it)
+        for (int ir = 2; ir < 11; ++ir)
+          ring.at(ir, it, ip + 1) = 1000.0 * ip + 10.0 * it + ir;
+      const auto mut = fd::ring_planes<1>(ring, ip);
+      const auto con = fd::ring_planes<1>(cring, ip);
+      const auto own = fd::ring_planes<0>(ring, ip);
+      for (int d = -1; d <= 1; ++d)
+        for (int it = 1; it < 6; ++it)
+          for (int ir = 2; ir < 11; ++ir) {
+            EXPECT_EQ(mut.at(ir, it, d), ring.lane_at(ir, it, ip + d))
+                << ir << "," << it << "," << ip << "+" << d;
+            EXPECT_EQ(con.at(ir, it, d), cring.lane_at(ir, it, ip + d));
+            if (d == 0) {
+              EXPECT_EQ(own.at(ir, it, 0), ring.lane_at(ir, it, ip));
+            }
+          }
+      // The newest plane reads back through its resolved base.
+      const fd::PlaneLanes<2> lanes{con};
+      EXPECT_EQ(lanes(2, 3, 1).lane(1), 1000.0 * ip + 30.0 + 3.0);
+    }
+  }
+}
+
+TEST(SimdPlanes, ResolvedFieldAddressesMatchIndexing) {
+  const SphericalGrid g = test_grid(7);
+  Fields s(g);
+  const Fields& cs = s;
+  for (int ip = 1; ip + 1 < g.Np(); ++ip) {
+    const auto mut = fd::field_planes<1>(s.fr, ip);
+    const auto con = fd::field_planes<1>(cs.fr, ip);
+    for (int d = -1; d <= 1; ++d)
+      for (int it = 0; it < g.Nt(); ++it)
+        for (int ir = 0; ir < g.Nr(); ++ir) {
+          EXPECT_EQ(mut.at(ir, it, d), &s.fr(ir, it, ip + d));
+          EXPECT_EQ(con.at(ir, it, d), &cs.fr(ir, it, ip + d));
+        }
+  }
 }
 
 // ---------------------------------------------------------------------
