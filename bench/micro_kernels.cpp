@@ -95,19 +95,19 @@ void BM_MhdRhs(benchmark::State& state) {
 }
 BENCHMARK(BM_MhdRhs)->Arg(16)->Arg(24);
 
-void BM_MhdRhsFused(benchmark::State& state) {
+void BM_MhdRhsScalar(benchmark::State& state) {
   SphericalGrid g = bench_grid(static_cast<int>(state.range(0)));
   mhd::Fields s(g), rhs(g);
   mhd::PencilWorkspace pw;
   mhd::EquationParams eq;
   eq.omega = {0, 0, 8.0};
   for (auto _ : state) {
-    mhd::compute_rhs_fused(g, eq, s, rhs, pw, g.interior());
+    mhd::compute_rhs_simd_width(1, g, eq, s, rhs, pw, g.interior());
     benchmark::DoNotOptimize(rhs.rho.data());
   }
   state.SetItemsProcessed(state.iterations() * g.interior().volume());
 }
-BENCHMARK(BM_MhdRhsFused)->Arg(16)->Arg(24);
+BENCHMARK(BM_MhdRhsScalar)->Arg(16)->Arg(24);
 
 void BM_YinYangStep(benchmark::State& state) {
   core::SimulationConfig cfg;
@@ -125,7 +125,7 @@ void BM_YinYangStep(benchmark::State& state) {
 }
 BENCHMARK(BM_YinYangStep)->Arg(13)->Arg(17);
 
-void BM_YinYangStepFused(benchmark::State& state) {
+void BM_YinYangStepScalar(benchmark::State& state) {
   core::SimulationConfig cfg;
   cfg.nr = 13;
   cfg.nt_core = static_cast<int>(state.range(0));
@@ -133,7 +133,7 @@ void BM_YinYangStepFused(benchmark::State& state) {
   cfg.eq.g0 = 2.0;
   cfg.eq.omega = {0, 0, 8.0};
   cfg.simd_rhs = true;
-  simd::force_active_width(1);  // width 1 is the fused scalar sweep
+  simd::force_active_width(1);  // the pencil sweep at Pack<1>
   core::SerialYinYangSolver solver(cfg);
   solver.initialize();
   const double dt = solver.stable_dt();
@@ -142,7 +142,7 @@ void BM_YinYangStepFused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 *
                           solver.grid().interior().volume());
 }
-BENCHMARK(BM_YinYangStepFused)->Arg(13)->Arg(17);
+BENCHMARK(BM_YinYangStepScalar)->Arg(13)->Arg(17);
 
 void BM_LatLonStep(benchmark::State& state) {
   baseline::LatLonConfig cfg;

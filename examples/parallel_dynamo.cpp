@@ -39,8 +39,8 @@
 /// sweep (DESIGN.md §11, §14) instead of the operator-at-a-time
 /// reference chain, its radial inner loops running in SIMD packs at
 /// the build's native width (override with YY_SIMD=scalar|1|2|4|8;
-/// width 1 is the scalar fused sweep; the manifest records width and
-/// ISA).  Bitwise-identical trajectories (tests/mhd/test_rhs_simd.cpp),
+/// width 1 is the same sweep at one lane; the manifest records width
+/// and ISA).  Bitwise-identical trajectories (tests/mhd/test_rhs_simd.cpp),
 /// so the serial cross-check still matches exactly; composes with
 /// --overlap.
 ///

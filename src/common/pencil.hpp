@@ -1,6 +1,6 @@
 /// \file pencil.hpp
 /// Compact scratch containers addressed in patch indices: the memory
-/// layer of the fused RHS path and the shrunken per-thread workspaces.
+/// layer of the pencil RHS sweep and the shrunken per-thread workspaces.
 ///
 /// Two shapes cover every scratch need of the RHS sweep:
 ///  * ScratchField — a box-shaped block with its origin at the box
@@ -11,7 +11,7 @@
 ///    Nr×Nt×Np arrays per thread (the documented ~19×YY_THREADS
 ///    multiplier).
 ///  * PlaneRing — a rolling ring of (r, θ) planes over φ, depth = the
-///    stencil footprint in φ (3 or 5).  The fused sweep computes plane
+///    stencil footprint in φ (3 or 5).  The pencil sweep computes plane
 ///    ip+k once, keeps it resident while the φ stencil needs it, and
 ///    overwrites it (ip mod depth) when the sweep moves on: the whole
 ///    derived-field working set shrinks from O(Nr·Nt·Np) to
@@ -116,9 +116,6 @@ class PlaneRing {
     data_.assign(static_cast<std::size_t>(depth_) * nr_ * nt_, 0.0);
   }
 
-  double& at(int ir, int it, int ip) { return data_[index(ir, it, ip)]; }
-  double at(int ir, int it, int ip) const { return data_[index(ir, it, ip)]; }
-
   /// Base of the slot holding plane ip — the ring's one modulo per
   /// plane.  Within a slot, (ir, it) sits at offset origin() + ir +
   /// row()·it, so a sweep resolves each plane once and then addresses
@@ -141,16 +138,6 @@ class PlaneRing {
   const double* lane_at(int ir, int it, int ip) const {
     return &data_[index(ir, it, ip)];
   }
-
-  /// Accessor with the Field3 call signature, for the shared per-point
-  /// stencils of grid/fd_stencils.hpp.
-  struct View {
-    const PlaneRing* ring = nullptr;
-    double operator()(int ir, int it, int ip) const {
-      return ring->at(ir, it, ip);
-    }
-  };
-  View view() const { return {this}; }
 
   int depth() const { return depth_; }
   std::size_t allocated_doubles() const { return data_.size(); }

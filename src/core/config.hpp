@@ -38,7 +38,7 @@ struct SimulationConfig {
   /// equivalence oracle), true = the SIMD pencil sweep (bitwise-
   /// identical trajectories; see DESIGN.md §11, §14).  Composes with
   /// `overlap`.  Lane width comes from the build's ISA, overridable
-  /// with YY_SIMD=scalar|1|2|4|8; width 1 is the scalar fused sweep.
+  /// with YY_SIMD=scalar|1|2|4|8; width 1 is the same sweep at Pack<1>.
   bool simd_rhs = false;
 
   /// The backend `simd_rhs` selects.

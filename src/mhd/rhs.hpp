@@ -17,11 +17,11 @@
 ///    pass per operator with box-sized scratch.  Simple, auditable, the
 ///    oracle the equivalence tests compare against.
 ///  * compute_rhs_simd — one cache-blocked sweep over φ with rolling
-///    pencil rings of derived-field planes and radial lane packs; same
-///    per-point expression trees (grid/fd_stencils.hpp), so the result
-///    is bitwise identical on this build (no FMA contraction), while
-///    the working set shrinks to O(depth·Nr·Nt).  Its width-1 path is
-///    compute_rhs_fused, the plain scalar sweep.
+///    pencil rings of derived-field planes and radial lane packs of
+///    width 1, 2, 4 or 8 (mhd/rhs_simd.cpp); same per-point expression
+///    trees (grid/fd_stencils.hpp), so the result is bitwise identical
+///    on this build (no FMA contraction) at every width, while the
+///    working set shrinks to O(depth·Nr·Nt).
 ///
 /// The RHS is valid on any IndexBox whose grown(2) data is filled
 /// (2 ghost layers: one consumed by the derived fields B and ∇·v, one
@@ -115,20 +115,6 @@ struct PencilWorkspace {
 /// 7 of depth 3); the footprint test's accounting constant.
 inline constexpr int kPencilPlanes = 4 * 5 + 7 * 3;
 
-/// The scalar pencil sweep — compute_rhs_simd_width at width 1: same
-/// contract and bitwise-identical result as compute_rhs (see file
-/// comment), evaluated in one rolling-pencil sweep over φ with
-/// radial-innermost loops; charges exactly the same flop count.  Kept
-/// as a plain-double loop in a portable TU because it ran 1.6–1.8×
-/// faster than the Pack<1> instantiation of the lane sweep.  That gap
-/// no longer holds: with plane-resolved addressing and flattened lane
-/// bodies, the Pack<1> sweep takes 0.77–0.84× this loop's time (native
-/// and -DYY_SIMD=OFF builds alike; DESIGN.md §14), so this loop is a
-/// deletion candidate (ROADMAP).
-void compute_rhs_fused(const SphericalGrid& g, const EquationParams& eq,
-                       const Fields& state, Fields& rhs, PencilWorkspace& pw,
-                       const IndexBox& box);
-
 /// Interior/boundary-shell decomposition of an RHS sweep for the
 /// overlapped stepping mode.  `interior` is `box` shrunk by the rim
 /// width in θ and φ only (never radially — radial ghosts are filled by
@@ -167,18 +153,18 @@ void compute_rhs_parallel(const SphericalGrid& g, const EquationParams& eq,
                           std::vector<Workspace>& ws_pool, const IndexBox& box,
                           int nthreads);
 
-/// The SIMD backend: the pencil sweep with its radial inner loops
-/// widened to `width`-lane packs (common/simd.hpp); width 1 runs
-/// compute_rhs_fused.  A line of L points runs as ⌈L/W⌉ full packs,
-/// the last one shifted back to end at the line's end (a line shorter
-/// than W runs at W/2, recursively), so no point falls off the vector
-/// path unless its line has one point.
+/// The SIMD backend: one rolling-pencil sweep over φ with its radial
+/// inner loops run as `width`-lane packs (common/simd.hpp); width 1 is
+/// the same sweep at Pack<1>.  A line of L points runs as ⌈L/W⌉ full
+/// packs, the last one shifted back to end at the line's end (a line
+/// shorter than W runs at W/2, recursively), so no point falls off the
+/// vector path unless its line has one point.
 /// Per-point expression trees are the shared grid/fd_stencils.hpp
 /// templates instantiated over lane packs, whose arithmetic is strictly
 /// elementwise with FMA contraction pinned off — so the result is
-/// bitwise identical to compute_rhs_fused (and the reference chain) for
-/// every width, and a point that two overlapping packs compute is
-/// stored with the same bytes both times.  Charges the same flop count
+/// bitwise identical to the reference chain (compute_rhs) for every
+/// width, and a point that two overlapping packs compute is stored with
+/// the same bytes both times.  Charges the same flop count
 /// and additionally records lane statistics (simd::lane_stats_add,
 /// width 1 included), the measured counterpart of the ES model's vector
 /// columns.

@@ -1,15 +1,28 @@
 /// \file rhs_simd.cpp
-/// The SIMD RHS backend: the fused rolling-pencil sweep of
-/// rhs_fused.cpp with its radial inner loops widened to W-lane packs
-/// (common/simd.hpp); width 1 runs that scalar sweep itself.  Every
-/// radial line runs in full-width packs: when W does not divide the
-/// line, the last pack is shifted back to end at the line's end and
-/// recomputes a few points the previous pack wrote.
+/// The SIMD RHS backend: one rolling-pencil sweep over φ evaluating all
+/// eight tendencies per point, its radial inner loops run as W-lane
+/// packs (common/simd.hpp) for W ∈ {1, 2, 4, 8} — width 1 is the same
+/// sweep at Pack<1>.  Every radial line runs in full-width packs: when
+/// W does not divide the line, the last pack is shifted back to end at
+/// the line's end and recomputes a few points the previous pack wrote.
 ///
-/// Bitwise contract (DESIGN.md §14): every per-point body below is the
-/// same grid/fd_stencils.hpp template the scalar fused sweep
-/// instantiates — the accessor types change (PlaneLanes / LaneMetrics
-/// instead of Field3 / PlaneRing::View / SphericalGrid), the source
+/// Sweep structure — for each output plane ip the stencils need
+///  * v and T two φ layers out (second-order composites differentiate
+///    first-derivative fields, which themselves read ±1): depth-5 rings
+///    over (r,θ) ∈ box.grown(2);
+///  * the once-differentiated fields B, ∇·v, ∇×v one layer out:
+///    depth-3 rings over box.grown(1);
+///  * j = ∇×B only at the output point itself — evaluated on the fly
+///    from the resident B ring, never stored.
+/// So the steady-state loop is: fill v/T plane ip+2, fill derived plane
+/// ip+1, combine plane ip — each plane computed exactly once, exactly as
+/// many point-evaluations as the reference path performs over the same
+/// boxes (the flop charge below is the same sum, term for term).
+///
+/// Bitwise contract (DESIGN.md §11, §14): every per-point body below is
+/// the same grid/fd_stencils.hpp template the reference chain's
+/// operators instantiate — the accessor types change (PlaneLanes /
+/// LaneMetrics instead of Field3 / SphericalGrid), the source
 /// expressions do not.  Pack arithmetic is strictly elementwise and
 /// the build pins -ffp-contract=off, so lane i of any pack equals the
 /// scalar evaluation at ir+i bit for bit — which is also why a point
@@ -43,7 +56,9 @@ namespace yy::mhd {
 namespace {
 
 /// Everything a sweep needs, bundled so the per-point templates take
-/// one argument; all values match what compute_rhs_fused computes.
+/// one argument.  The difference coefficients are the same expressions
+/// the fd::* operators compute, so the shared stencils see identical
+/// values.
 struct SweepCtx {
   const SphericalGrid& g;
   const EquationParams& eq;
@@ -79,7 +94,8 @@ struct CombinePlanes {
 // The per-point bodies are flattened: every stencil, accessor and Pack
 // operator inlines into them, so no pack crosses a call.  Lane
 // accessors take the stencils' φ argument as an offset from the
-// resolved plane, so the bodies pass 0 where the scalar sweep passes ip.
+// resolved plane, so the bodies pass 0 where the reference operators
+// pass ip.
 
 /// v = f/ρ, T = p/ρ at lanes ir…ir+W−1 of the plane (fill_vt body).
 template <int W>
@@ -215,9 +231,9 @@ constexpr std::uint64_t line_trips(std::uint64_t len, std::uint64_t w) {
   return w > 1 && len < w ? line_trips(len, w / 2) : (len + w - 1) / w;
 }
 
-/// The rolling sweep at pack width W: same plane schedule as
-/// compute_rhs_fused, every radial line walked by walk_line<W>.  Each
-/// plane's fields are resolved once, outside its θ and r loops.
+/// The rolling sweep at pack width W (plane schedule in the file
+/// comment), every radial line walked by walk_line<W>.  Each plane's
+/// fields are resolved once, outside its θ and r loops.
 template <int W>
 void sweep(const SweepCtx& c) {
   // Read-only views pick the const plane bases; pw and o are stored to.
@@ -292,6 +308,8 @@ void sweep(const SweepCtx& c) {
     }
   };
 
+  // Prime the rings, then roll: each iteration establishes the planes
+  // plane ip's stencils reach before combining it.
   for (int q = c.box.p0 - 2; q < c.box.p0 + 2; ++q) fill_vt(q);
   for (int q = c.box.p0 - 1; q < c.box.p0 + 1; ++q) fill_derived(q);
   for (int ip = c.box.p0; ip < c.box.p1; ++ip) {
@@ -329,26 +347,34 @@ void record_lane_stats(int width, const IndexBox& box) {
 
 }  // namespace
 
+void PencilWorkspace::ensure(const IndexBox& box) {
+  const IndexBox e2 = box.grown(2);
+  const IndexBox e1 = box.grown(1);
+  for (common::PlaneRing* r : {&vr, &vt, &vp, &T})
+    r->ensure(5, e2.r0, e2.r1, e2.t0, e2.t1);
+  for (common::PlaneRing* r : {&br, &bt, &bp, &divv, &cvr, &cvt, &cvp})
+    r->ensure(3, e1.r0, e1.r1, e1.t0, e1.t1);
+}
+
+std::size_t PencilWorkspace::allocated_doubles() const {
+  std::size_t n = 0;
+  for (const common::PlaneRing* r :
+       {&vr, &vt, &vp, &T, &br, &bt, &bp, &divv, &cvr, &cvt, &cvp})
+    n += r->allocated_doubles();
+  return n;
+}
+
 void compute_rhs_simd_width(int width, const SphericalGrid& g,
                             const EquationParams& eq, const Fields& state,
                             Fields& rhs, PencilWorkspace& pw,
                             const IndexBox& box) {
   YY_REQUIRE(width == 1 || width == 2 || width == 4 || width == 8);
   if (box.volume() == 0) return;
-  if (width == 1) {
-    // The scalar kernel is the plain-double fused sweep in its portable
-    // TU, not sweep<1> (bitwise equal; once 1.6–1.8× slower, now the
-    // faster of the two — see compute_rhs_fused in rhs.hpp).  It checks
-    // reach and charges flops.
-    compute_rhs_fused(g, eq, state, rhs, pw, box);
-    record_lane_stats(1, box);
-    return;
-  }
   const IndexBox e2 = box.grown(2);
   const IndexBox e1 = box.grown(1);
-  // Same reach as the fused sweep; the pack loads of a radial line stay
-  // inside the extents the scalar line touches (walk_line keeps every
-  // pack inside its line).
+  // Same reach as the reference chain: the sweep touches box.grown(2)
+  // (metric tables and state ghosts must exist there), and walk_line
+  // keeps every pack's loads inside the extents its scalar line reads.
   YY_REQUIRE(e2.r0 >= 0 && e2.r1 <= g.Nr());
   YY_REQUIRE(e2.t0 >= 0 && e2.t1 <= g.Nt());
   YY_REQUIRE(e2.p0 >= 0 && e2.p1 <= g.Np());
@@ -379,13 +405,18 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
     case 4:
       sweep<4>(c);
       break;
-    default:
+    case 2:
       sweep<2>(c);
+      break;
+    default:
+      sweep<1>(c);
       break;
   }
   record_lane_stats(width, box);
 
-  // Identical flop charge to the fused and reference paths: the lanes
+  // Identical charge to the reference chain, term for term: v/T over
+  // box.grown(2); B, ∇·v, ∇×v over box.grown(1); every remaining
+  // operator (including the on-the-fly j = ∇×B) over box.  The lanes
   // change how the points are traversed, not how many ops each costs.
   const auto vol = [](const IndexBox& b) {
     return static_cast<std::uint64_t>(b.volume());

@@ -1,7 +1,7 @@
 /// Seeded randomized differential fuzzing of the solver stack: ~20
 /// random small configurations sweeping grid sizes, RHS backends
 /// (reference / simd at a random forced lane width, width 1 being the
-/// scalar fused sweep), the overlapped stepping mode (which with the
+/// one-lane pencil sweep), the overlapped stepping mode (which with the
 /// registered YY_THREADS=2 also toggles the threaded sweeps) and rank
 /// layouts — each asserting
 /// that the serial whole-sphere solver and the distributed solver land
@@ -85,7 +85,7 @@ CaseSpec random_case(std::uint64_t seed) {
 
   // Execution shape: backend × overlap × rank layout.  The backend is
   // drawn from {reference, simd × width 1/2/4/8}; simd width 1 is the
-  // scalar fused sweep.
+  // one-lane pencil sweep.
   static constexpr int kSimdWidth[] = {0, 1, 2, 4, 8};  // 0 = reference
   c.simd_width = pick(rng, kSimdWidth);
   c.cfg.simd_rhs = c.simd_width > 0;
@@ -168,7 +168,7 @@ TEST(ConfigFuzz, CorpusCoversBackendsModesAndLayouts) {
     overlap_seen[c.cfg.overlap ? 1 : 0] = true;
     if (c.pt * c.pp > 1) multirank = true;
   }
-  // The reference chain, the scalar fused sweep (width 1), and at
+  // The reference chain, the one-lane pencil sweep (width 1), and at
   // least one genuine lane width.
   EXPECT_TRUE(width_seen[0] && width_seen[1]);
   EXPECT_TRUE(width_seen[2] || width_seen[4] || width_seen[8]);

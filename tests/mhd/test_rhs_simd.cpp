@@ -3,8 +3,8 @@
 /// *bitwise* at every supported lane width, because the per-point
 /// expression trees are the same grid/fd_stencils.hpp templates
 /// instantiated over Pack<W> lanes with FMA contraction pinned off.
-/// Width 1 is the scalar fused sweep (rhs_fused.cpp), so the reference
-/// chain, not the fused sweep, is the oracle.  Covered here:
+/// Width 1 is the same sweep at Pack<1>, and the reference chain is the
+/// oracle at every width.  Covered here:
 ///  * Pack<W> semantics: broadcast (−0.0, subnormal, ±inf, NaN payload),
 ///    load/store round-trips, strictly elementwise arithmetic vs scalar
 ///    ops.
@@ -18,10 +18,12 @@
 ///    W=8, lines shorter than the pack (n=6, 7 at W=8), and overlapped
 ///    last packs at every width.
 ///  * Identical flop charge and analytic lane-statistics accounting.
-///  * Manufactured-solution 2nd-order convergence through the SIMD path.
 ///  * 10-step RK4 trajectories at 1/2/4 ranks per panel, sync and
 ///    overlapped, at widths {1, 2, compiled max} (the scalar fallback
 ///    plus at least two lane widths on any x86-64 build).
+/// The width-independent properties of the pencil sweep (φ-slab
+/// partition, manufactured convergence, scratch footprint) are pinned
+/// in test_rhs_fused.cpp and test_workspace_footprint.cpp.
 #include "mhd/rhs.hpp"
 
 #include <gtest/gtest.h>
@@ -133,7 +135,7 @@ TEST(SimdPlanes, ResolvedRingAddressesMatchLaneAtAfterGrowingEnsure) {
     for (int ip = 1; ip < 4 * depth + 2; ++ip) {
       for (int it = 1; it < 6; ++it)
         for (int ir = 2; ir < 11; ++ir)
-          ring.at(ir, it, ip + 1) = 1000.0 * ip + 10.0 * it + ir;
+          *ring.lane_at(ir, it, ip + 1) = 1000.0 * ip + 10.0 * it + ir;
       const auto mut = fd::ring_planes<1>(ring, ip);
       const auto con = fd::ring_planes<1>(cring, ip);
       const auto own = fd::ring_planes<0>(ring, ip);
@@ -443,102 +445,11 @@ TEST(SimdRhs, LaneStatsAccountForPacksAndTails) {
 }
 
 // ---------------------------------------------------------------------
-// Manufactured-solution convergence through the SIMD path (compare
-// test_rhs_fused.cpp: same oracles, lane-swept evaluation).
-// ---------------------------------------------------------------------
-
-double wavy(const Vec3& x) {
-  return std::sin(1.3 * x.x) * std::cos(0.7 * x.y) + std::sin(0.9 * x.z);
-}
-double wavy_lap(const Vec3& x) {
-  return -(1.3 * 1.3 + 0.7 * 0.7) * std::sin(1.3 * x.x) * std::cos(0.7 * x.y) -
-         0.81 * std::sin(0.9 * x.z);
-}
-Vec3 wavy_vec(const Vec3& x) {
-  return {std::sin(x.y), std::sin(x.z), std::sin(x.x)};
-}
-
-/// SIMD RHS of a state at rest with p = 4 + wavy: only (γ−1)κ∇²T
-/// survives, evaluated through the lane-widened pencil sweep at the
-/// compiled max width (packs *and* tails on these odd-sized grids).
-double pressure_diffusion_error_simd(int n) {
-  const SphericalGrid g = test_grid(n);
-  EquationParams eq;
-  eq.kappa = 0.7;
-  Fields s(g), rhs(g);
-  testutil::fill_scalar(g, s.rho, [](const Vec3&) { return 1.0; });
-  testutil::fill_scalar(g, s.p, [](const Vec3& x) { return 4.0 + wavy(x); });
-  PencilWorkspace pw;
-  compute_rhs_simd_width(simd::compiled_max_width(), g, eq, s, rhs, pw,
-                         g.interior());
-  const double gm1 = eq.gamma - 1.0;
-  return testutil::max_error(g, rhs.p, g.interior(),
-                             [&](int ir, int it, int ip) {
-                               return gm1 * eq.kappa *
-                                      wavy_lap(testutil::cart_of(g, ir, it, ip));
-                             });
-}
-
-/// Divergence-free momentum through the SIMD continuity channel.
-double continuity_error_simd(int n) {
-  const SphericalGrid g = test_grid(n);
-  EquationParams eq;
-  Fields s(g), rhs(g);
-  testutil::fill_scalar(g, s.rho, [](const Vec3&) { return 1.0; });
-  testutil::fill_scalar(g, s.p, [](const Vec3&) { return 1.0; });
-  testutil::fill_vector(g, s.fr, s.ft, s.fp, wavy_vec);
-  PencilWorkspace pw;
-  compute_rhs_simd_width(simd::compiled_max_width(), g, eq, s, rhs, pw,
-                         g.interior());
-  return testutil::max_error(g, rhs.rho, g.interior(),
-                             [](int, int, int) { return 0.0; });
-}
-
-/// A = (sin y, sin z, sin x) ⇒ j = A, so ∂A/∂t → −ηA through the SIMD
-/// induction channel.
-double induction_error_simd(int n) {
-  const SphericalGrid g = test_grid(n);
-  EquationParams eq;
-  eq.eta = 0.4;
-  Fields s(g), rhs(g);
-  testutil::fill_scalar(g, s.rho, [](const Vec3&) { return 1.0; });
-  testutil::fill_scalar(g, s.p, [](const Vec3&) { return 1.0; });
-  testutil::fill_vector(g, s.ar, s.at, s.ap, wavy_vec);
-  PencilWorkspace pw;
-  compute_rhs_simd_width(simd::compiled_max_width(), g, eq, s, rhs, pw,
-                         g.interior());
-  double err = 0.0;
-  for_box(g.interior(), [&](int ir, int it, int ip) {
-    const Vec3 e = testutil::to_spherical(
-        g, it, ip, wavy_vec(testutil::cart_of(g, ir, it, ip)) * (-eq.eta));
-    err = std::max({err, std::abs(rhs.ar(ir, it, ip) - e.x),
-                    std::abs(rhs.at(ir, it, ip) - e.y),
-                    std::abs(rhs.ap(ir, it, ip) - e.z)});
-  });
-  return err;
-}
-
-class SimdConvergence : public ::testing::TestWithParam<double (*)(int)> {};
-
-TEST_P(SimdConvergence, SecondOrderRatioBetweenRefinements) {
-  const auto err = GetParam();
-  const double e1 = err(13);
-  const double e2 = err(25);  // h halves (12 -> 24 intervals)
-  EXPECT_GT(e1 / e2, 3.0) << "coarse=" << e1 << " fine=" << e2;
-  EXPECT_LT(e2, e1);
-}
-
-INSTANTIATE_TEST_SUITE_P(ManufacturedSolutions, SimdConvergence,
-                         ::testing::Values(&pressure_diffusion_error_simd,
-                                           &continuity_error_simd,
-                                           &induction_error_simd));
-
-// ---------------------------------------------------------------------
 // Trajectory equivalence: 10 RK4 steps of the distributed solver with
 // cfg.simd_rhs on must land on the reference trajectory bitwise, in the
 // synchronous and the overlapped stepping mode, at 1, 2 and 4 ranks per
 // panel — swept over widths {1, 2, compiled max} via the
-// force_active_width hook: width 1 is the scalar fused sweep, plus at
+// force_active_width hook: width 1 is the scalar Pack<1> sweep, plus at
 // least two genuine lane widths on any x86-64 build.  (YY_THREADS=2
 // from the ctest registration makes the overlapped runs exercise the
 // threaded sweeps too.)

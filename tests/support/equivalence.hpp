@@ -1,6 +1,6 @@
 /// \file equivalence.hpp
 /// Shared bitwise-trajectory-equivalence helpers for the cross-backend
-/// and cross-mode suites (fused RHS, SIMD RHS, overlapped stepping,
+/// and cross-mode suites (SIMD RHS at every width, overlapped stepping,
 /// rank-death recovery, config fuzzing).  One definition of "run this
 /// config on pt×pp ranks per panel and hand me the gathered end state"
 /// and one definition of "these two runs are bitwise identical", so
